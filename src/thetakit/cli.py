@@ -33,7 +33,13 @@ from .identities import (
     verify,
 )
 from .notation import big_theta
-from .reduction import eval_reduced, eval_reduced_product, full_reduction, reduce_tau
+from .reduction import (
+    eval_reduced,
+    eval_reduced_product,
+    full_reduction,
+    reduce_tau,
+    zeros_of,
+)
 
 __all__ = ["main", "app", "parse_complex", "format_complex"]
 
@@ -160,6 +166,8 @@ def _cmd_eval(args) -> int:
     out: dict = {"tau": format_complex(tau.tau), "u": format_complex(args.u)}
     if args.char is not None and args.big_theta:
         return _usage_error("--big-theta needs --r, not --char")
+    if args.product and (args.char is not None or args.big_theta):
+        return _usage_error("--product needs plain --r, not --char or --big-theta")
     try:
         if args.char is not None:
             a, b = args.char
@@ -173,13 +181,10 @@ def _cmd_eval(args) -> int:
             out["r"] = args.r
         out["value"] = format_complex(value)
         if args.product:
-            if args.char is not None:
-                return _usage_error("--product needs --r, not --char")
-            series = value
             product = eval_reduced_product(args.r, args.u, tau, settings)
-            out["series"] = format_complex(series)
+            out["series"] = format_complex(value)
             out["product"] = format_complex(product)
-            out["difference"] = abs(series - product)
+            out["difference"] = abs(value - product)
     except TruncationError as exc:
         print(f"thetakit: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -287,8 +292,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    from .reduction import zeros_of
-
     tau = _modular(args.tau, "--tau")
     if args.nmax < 0 or args.mmax < 0:
         return _usage_error("--nmax and --mmax must be >= 0")

@@ -48,7 +48,7 @@ _TWO_PI = 2.0 * math.pi
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0
 
-# Window radius above which the series loops switch to vectorized summation.
+# Window radius above which _series switches to vectorized summation.
 _VECTOR_CUTOFF = 64
 
 
@@ -65,10 +65,15 @@ class TruncationError(ArithmeticError):
 
 
 def cexp(z: complex) -> complex:
-    """exp(z) saturating to a complex infinity instead of raising."""
+    """exp(z) saturating to a complex infinity instead of raising.
+
+    A component whose cos/sin is zero saturates to that signed zero, not
+    to inf * 0 = nan.
+    """
     z = complex(z)
     if z.real > _EXP_MAX:
-        return complex(math.inf * math.cos(z.imag), math.inf * math.sin(z.imag))
+        c, s = math.cos(z.imag), math.sin(z.imag)
+        return complex(math.inf * c if c else c, math.inf * s if s else s)
     return cmath.exp(z)
 
 
@@ -211,6 +216,31 @@ def _window(tau: ModularParameter, u: complex, a: float, settings: EvalSettings)
     return truncation_index(tau, u, a, eff_tol, settings.max_terms)
 
 
+def _series(n: int, a0: float, v: complex, tv: complex, alternating: bool) -> complex:
+    """sum_{|k|<=n} (+-1)^k exp(pi*i*(tv*x^2 + 2*x*v)), x = k + a0.
+
+    The one summation behind theta and theta_char.  alternating puts in
+    the exact sign (-1)^k of a half-integer b; windows wider than
+    _VECTOR_CUTOFF are summed with numpy.
+    """
+    if n <= _VECTOR_CUTOFF:
+        s = 0j
+        for k in range(-n, n + 1):
+            x = k + a0
+            term = cexp(1j * PI * (tv * x * x + 2.0 * x * v))
+            if alternating and (k & 1):
+                term = -term
+            s += term
+        return s
+    k = np.arange(-n, n + 1, dtype=np.float64)
+    x = k + a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(1j * PI * (tv * x * x + 2.0 * x * v))
+        if alternating:
+            terms[(n + 1) % 2 :: 2] *= -1.0  # positions where k = i - n is odd
+        return complex(terms.sum())
+
+
 def theta_char(
     chars: Characteristics,
     u: complex,
@@ -220,20 +250,7 @@ def theta_char(
     """theta_{a,b}(u|tau) by certified series summation."""
     u = complex(u)
     n = _window(tau, u, chars.a, settings)
-    a0 = chars.a - round(chars.a)
-    tv = tau.tau
-    ub = u + chars.b
-    if n <= _VECTOR_CUTOFF:
-        s = 0j
-        for k in range(-n, n + 1):
-            x = k + a0
-            s += cexp(1j * PI * (tv * x * x + 2.0 * x * ub))
-        return s
-    k = np.arange(-n, n + 1, dtype=np.float64)
-    x = k + a0
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = complex(np.exp(1j * PI * (tv * x * x + 2.0 * x * ub)).sum())
-    return s
+    return _series(n, chars.a - round(chars.a), u + chars.b, tau.tau, False)
 
 
 def theta(
@@ -242,33 +259,12 @@ def theta(
     tau: ModularParameter,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> complex:
-    """theta_r(u|tau), r in {1,2,3,4}, by its own explicit series.
-
-    Deliberately not routed through theta_char so the two summations
-    cross-check each other.
-    """
+    """theta_r(u|tau), r in {1,2,3,4}: theta_{a,b} at half-integer a, b."""
     _check_index(r)
     u = complex(u)
     shift = 0.5 if r in (1, 2) else 0.0
-    alternating = r in (1, 4)
     n = _window(tau, u, shift, settings)
-    tv = tau.tau
-    if n <= _VECTOR_CUTOFF:
-        s = 0j
-        for k in range(-n, n + 1):
-            x = k + shift
-            term = cexp(1j * PI * (tv * x * x + 2.0 * x * u))
-            if alternating and (k & 1):
-                term = -term
-            s += term
-    else:
-        k = np.arange(-n, n + 1, dtype=np.float64)
-        x = k + shift
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(1j * PI * (tv * x * x + 2.0 * x * u))
-            if alternating:
-                terms[(n + 1) % 2 :: 2] *= -1.0  # positions where k = i - n is odd
-            s = complex(terms.sum())
+    s = _series(n, shift, u, tau.tau, r in (1, 4))
     return -1j * s if r == 1 else s
 
 

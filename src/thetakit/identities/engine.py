@@ -286,8 +286,10 @@ def verify(
     Each identity gets its own RNG stream derived from (seed, id), so
     report order and values do not depend on which other ids are
     selected.  Bindings where both sides are numerically negligible are
-    resampled.  Raises UnknownIdentityError for ids not in the catalog
-    (the built-in one unless another mapping is supplied).
+    resampled, at most _RESAMPLE_LIMIT times per trial; an exhausted
+    truncation counts as a failed trial.  Raises UnknownIdentityError
+    for ids not in the catalog (the built-in one unless another mapping
+    is supplied).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -302,16 +304,14 @@ def verify(
         max_rel = 0.0
         failing = None
         for _ in range(trials):
-            binding = _sample_binding(rng, identity.variables, box)
-            detail = _evaluate_guarded(identity, binding, settings, use_reduction)
-            resamples = 0
-            while (
-                max(detail.lhs_log_mag, detail.rhs_log_mag) < _DEGENERATE_LOG
-                and resamples < _RESAMPLE_LIMIT
-            ):
+            for _ in range(_RESAMPLE_LIMIT + 1):
                 binding = _sample_binding(rng, identity.variables, box)
-                detail = _evaluate_guarded(identity, binding, settings, use_reduction)
-                resamples += 1
+                try:
+                    detail = _evaluate_detail(identity, binding, settings, use_reduction)
+                except TruncationError:  # a failed trial, not an aborted run
+                    detail = _EvalDetail(math.inf, math.inf, math.inf, math.inf)
+                if not max(detail.lhs_log_mag, detail.rhs_log_mag) < _DEGENERATE_LOG:
+                    break
             rel = detail.rel_residual
             if math.isnan(rel):
                 rel = math.inf
@@ -324,20 +324,6 @@ def verify(
             ResidualReport(identity_id, trials, max_abs, max_rel, failing)
         )
     return reports
-
-
-def _evaluate_guarded(
-    identity: Identity,
-    binding: VariableBinding,
-    settings: EvalSettings,
-    use_reduction: bool,
-) -> _EvalDetail:
-    """Like _evaluate_detail, but an exhausted truncation counts as a
-    failed trial instead of aborting the whole verification run."""
-    try:
-        return _evaluate_detail(identity, binding, settings, use_reduction)
-    except TruncationError:
-        return _EvalDetail(math.inf, math.inf, math.inf, math.inf)
 
 
 @dataclass
@@ -363,21 +349,6 @@ class KoornwinderReport:
         return max(self.residuals.values())
 
 
-def _quad(
-    j: int,
-    p1: complex,
-    p2: complex,
-    p3: complex,
-    p4: complex,
-    tau: ModularParameter,
-    settings: EvalSettings,
-) -> complex:
-    value = 1.0 + 0j
-    for point in (p1, p2, p3, p4):
-        value *= eval_reduced(j, point, tau, settings)
-    return value
-
-
 def koornwinder_equivalence_check(
     u: complex,
     v: complex,
@@ -394,9 +365,14 @@ def koornwinder_equivalence_check(
     system whose compatibility conditions A1-B1 = C1 and C1 = B2-A2
     are exactly the asymmetric addition identities with r = 1, 2.
     """
-    a = {j: _quad(j, u + x, u - x, v + y, v - y, tau, settings) for j in (1, 2)}
-    b = {j: _quad(j, u + y, u - y, v + x, v - x, tau, settings) for j in (1, 2)}
-    c = {j: _quad(j, u + v, u - v, x + y, x - y, tau, settings) for j in (1, 2)}
+    a, b, c = (
+        {j: bracket_product((j,) * 4, *points, tau, settings=settings) for j in (1, 2)}
+        for points in (
+            (u + x, u - x, v + y, v - y),
+            (u + y, u - y, v + x, v - x),
+            (u + v, u - v, x + y, x - y),
+        )
+    )
 
     # quantities below the system's own rounding noise count as zero,
     # so fully degenerate relations read as 0 = 0

@@ -148,20 +148,20 @@ def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
 
     Boundary ties (|tau| = 1 or |Re tau| = 1/2) are accepted as-is;
     uniqueness is not needed for evaluation.  Terminates because every
-    S step strictly increases Im(tau) while |tau| < 1.
+    S step strictly increases Im(tau) while |tau| < 1.  Each run of T
+    steps is one subtraction t - shift, which is exact: both operands
+    are multiples of ulp(Re t) and the result is at most 1/2 in size.
     """
     t = tau.tau
     word: list[ModularStep] = []
-    guard = 0
+    t_steps = 0
     while True:
         shift = round(t.real)
-        step = ModularStep.T_INV if shift > 0 else ModularStep.T
-        for _ in range(abs(shift)):
-            t = apply_step_to_tau(step, t)
-            word.append(step)
-            guard += 1
-            if guard > 10_000_000:
-                raise ValueError(f"Re(tau) too large to reduce: {tau.tau!r}")
+        t_steps += abs(shift)
+        if t_steps > 10_000_000:
+            raise ValueError(f"Re(tau) too large to reduce: {tau.tau!r}")
+        t -= shift
+        word.extend((ModularStep.T_INV if shift > 0 else ModularStep.T,) * abs(shift))
         if abs(t) < 1.0:
             t = apply_step_to_tau(ModularStep.S, t)
             word.append(ModularStep.S)

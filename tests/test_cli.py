@@ -170,3 +170,11 @@ class TestFlagConflicts:
         code = main(["eval", "--char", "0,0", "--u", "0", "--tau", "1i", "--product"])
         assert code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_big_theta_with_product_rejected(self, capsys):
+        # Theta_1(u) = theta_1(u/2K) has no product form under the same u
+        code = main(["eval", "--r", "1", "--u", "0.2", "--tau", "1i", "--big-theta", "--product"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--product" in captured.err

@@ -29,6 +29,7 @@ from thetakit import (
     theta_product,
     truncation_index,
 )
+from thetakit.core import cexp
 
 # frozen 50-term direct-summation value, computed before the build
 THETA3_AT_I = 1.0864348112133082
@@ -48,6 +49,14 @@ def test_settings_validation():
         EvalSettings(tol=0.0)
     with pytest.raises(ValueError):
         EvalSettings(max_terms=0)
+
+
+def test_cexp_saturates_without_nan():
+    assert cexp(800 + 0j) == complex(math.inf, 0.0)
+    assert math.copysign(1.0, cexp(complex(800, -0.0)).imag) == -1.0
+    assert cexp(complex(800, math.pi / 4)) == complex(math.inf, math.inf)
+    assert cexp(complex(800, math.pi)) == complex(-math.inf, math.inf)
+    assert cexp(1 + 0j) == cmath.exp(1)
 
 
 def test_nome_magnitude():
@@ -116,9 +125,13 @@ class TestThetaChar:
         got = theta_char(Characteristics(0.0, 0.0), 0.125, tau, settings)
         want = theta_char_series(0.0, 0.0, 0.125, tau.tau, n=200)
         assert got == pytest.approx(want, rel=1e-10)
-        got2 = theta(2, 0.125, tau, settings)
-        want2 = theta_series(2, 0.125, tau.tau, n=200)
-        assert got2 == pytest.approx(want2, rel=1e-10)
+        # r = 1, 4 take the alternating-sign numpy branch; at u + 1/2 they
+        # are as large as theta_2, theta_3 at u, not exponentially small
+        for r in (1, 2, 3, 4):
+            u = 0.125 + (0.5 if r in (1, 4) else 0.0)
+            got_r = theta(r, u, tau, settings)
+            want_r = theta_series(r, u, tau.tau, n=200)
+            assert got_r == pytest.approx(want_r, rel=1e-10), r
 
     @hsettings(max_examples=40, deadline=None)
     @given(
