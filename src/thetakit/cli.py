@@ -34,6 +34,7 @@ from .identities import (
 )
 from .notation import big_theta
 from .reduction import (
+    ModularStep,
     eval_reduced,
     eval_reduced_product,
     full_reduction,
@@ -173,11 +174,9 @@ def _cmd_eval(args) -> int:
             a, b = args.char
             value = theta_char(Characteristics(a, b), args.u, tau, settings)
             out["char"] = [a, b]
-        elif args.big_theta:
-            value = big_theta(args.r, args.u, tau, settings)
-            out["r"] = args.r
         else:
-            value = eval_reduced(args.r, args.u, tau, settings)
+            evaluate = big_theta if args.big_theta else eval_reduced
+            value = evaluate(args.r, args.u, tau, settings)
             out["r"] = args.r
         out["value"] = format_complex(value)
         if args.product:
@@ -305,7 +304,8 @@ def _cmd_zeros(args) -> int:
 def _cmd_reduce(args) -> int:
     tau = _modular(args.tau, "--tau")
     reduced, word = reduce_tau(tau)
-    word_text = " ".join(step.value for step in word) if word else "(none)"
+    tokens = ("S" if k is ModularStep.S else "T" if k == 1 else f"T^{k}" for k in word)
+    word_text = " ".join(tokens) if word else "(none)"
     print(f"word       {word_text}")
     print(f"tau'       {format_complex(reduced.tau)}")
     if args.u is not None:
@@ -316,23 +316,22 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "eval": _cmd_eval,
+    "verify": _cmd_verify,
+    "catalog": _cmd_catalog,
+    "zeros": _cmd_zeros,
+    "reduce": _cmd_reduce,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "zeros":
-            return _cmd_zeros(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # raised by _modular with a code
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 def app() -> None:

@@ -3,8 +3,9 @@
 Any (u, tau) with Im(tau) > 0 is mapped into the fast-convergence
 regime: tau into the classical fundamental domain |Re tau| <= 1/2,
 |tau| >= 1 (so the nome satisfies |q| <= exp(-pi*sqrt(3)/2) ~ 0.0658)
-by generator moves T: tau -> tau+1 and S: tau -> -1/tau, and u into the
-centred lattice cell |Re u0| <= 1/2, |Im u0| <= Im(tau)/2.
+by generator moves T^k: tau -> tau+k and S: tau -> -1/tau, and u into the
+centred lattice cell |Re u0| <= 1/2, |Im u0| <= Im(tau)/2.  A translation
+run is one word token k, so reduction cost grows with the S steps only.
 
 Every move is tracked exactly as a ThetaTransformRecord: an index
 permutation plus a log-form multiplier mu with
@@ -55,14 +56,12 @@ __all__ = [
 
 
 class ModularStep(str, Enum):
-    """Generators of the modular group as used by reduce_tau."""
+    """Word token S: tau -> -1/tau; every other token is an int k != 0, T^k."""
 
-    T = "T"
-    T_INV = "T^-1"
     S = "S"
 
 
-ModularWord = tuple[ModularStep, ...]
+ModularWord = tuple[ModularStep | int, ...]
 
 
 class HalfPeriod(str, Enum):
@@ -74,7 +73,7 @@ class HalfPeriod(str, Enum):
 
 
 _IDENT_PERM = (1, 2, 3, 4)
-_T_PERM = (1, 2, 4, 3)  # tau -> tau +- 1 swaps indices 3 and 4
+_T_PERM = (1, 2, 4, 3)  # tau -> tau + k swaps indices 3 and 4 for odd k
 _S_PERM = (1, 4, 3, 2)  # tau -> -1/tau swaps indices 2 and 4
 
 
@@ -123,13 +122,11 @@ def identity_record(u: complex, tau: ModularParameter) -> ThetaTransformRecord:
     return ThetaTransformRecord(_IDENT_PERM, 0j, complex(u), tau)
 
 
-def apply_step_to_tau(step: ModularStep, tau: complex) -> complex:
-    """One generator move on tau (shared by reduce_tau and the records)."""
-    if step is ModularStep.T:
-        return tau + 1.0
-    if step is ModularStep.T_INV:
-        return tau - 1.0
-    return -1.0 / tau
+def apply_step_to_tau(step: ModularStep | int, tau: complex) -> complex:
+    """One word token on tau (shared by reduce_tau and the records)."""
+    if step is ModularStep.S:
+        return -1.0 / tau
+    return tau + step
 
 
 def apply_word_to_tau(word: ModularWord, tau: complex) -> complex:
@@ -148,48 +145,41 @@ def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
 
     Boundary ties (|tau| = 1 or |Re tau| = 1/2) are accepted as-is;
     uniqueness is not needed for evaluation.  Terminates because every
-    S step strictly increases Im(tau) while |tau| < 1.  Each run of T
-    steps is one subtraction t - shift, which is exact: both operands
-    are multiples of ulp(Re t) and the result is at most 1/2 in size.
+    S step strictly increases Im(tau) while |tau| < 1.  Each T run is
+    one token -shift and one subtraction t - shift, which is exact: both
+    operands are multiples of ulp(Re t) and the result is at most 1/2.
     """
     t = tau.tau
-    word: list[ModularStep] = []
-    t_steps = 0
+    word: list[ModularStep | int] = []
     while True:
         shift = round(t.real)
-        t_steps += abs(shift)
-        if t_steps > 10_000_000:
-            raise ValueError(f"Re(tau) too large to reduce: {tau.tau!r}")
-        t -= shift
-        word.extend((ModularStep.T_INV if shift > 0 else ModularStep.T,) * abs(shift))
-        if abs(t) < 1.0:
-            t = apply_step_to_tau(ModularStep.S, t)
-            word.append(ModularStep.S)
-        else:
-            break
-    return ModularParameter(t), tuple(word)
+        if shift:
+            t -= shift
+            word.append(-shift)
+        if abs(t) >= 1.0:
+            return ModularParameter(t), tuple(word)
+        t = apply_step_to_tau(ModularStep.S, t)
+        word.append(ModularStep.S)
 
 
 def apply_modular_step(
-    step: ModularStep, r: int, u: complex, tau: ModularParameter
+    step: ModularStep | int, r: int, u: complex, tau: ModularParameter
 ) -> ThetaTransformRecord:
     """Record rewriting theta_r(u|tau) at the moved modular parameter.
 
-    T / T^-1 swap indices 3 and 4 and cost a phase exp(-+i*pi/4) for
-    r in {1, 2}.  S (tau -> -1/tau, branch Re sqrt(-i*tau) > 0) maps
-    u to u/tau, swaps indices 2 and 4, and costs
-    exp(-log(-i*tau)/2 - pi*i*u^2/tau), times i for r = 1.
+    T^k swaps indices 3 and 4 when k is odd and costs a phase
+    exp(-k*i*pi/4) for r in {1, 2}; k is reduced mod 8 in integers
+    first, so T^8 is exactly the identity.  S (tau -> -1/tau, branch
+    Re sqrt(-i*tau) > 0) maps u to u/tau, swaps indices 2 and 4, and
+    costs exp(-log(-i*tau)/2 - pi*i*u^2/tau), times i for r = 1.
     """
     _check_index(r)
     u = complex(u)
     tv = tau.tau
-    if step is ModularStep.T or step is ModularStep.T_INV:
-        mu = 0j
-        if r in (1, 2):
-            mu = -0.25j * PI if step is ModularStep.T else 0.25j * PI
-        return ThetaTransformRecord(
-            _T_PERM, mu, u, ModularParameter(apply_step_to_tau(step, tv))
-        )
+    if step is not ModularStep.S:
+        mu = -0.25j * PI * (((step + 4) % 8) - 4) if r in (1, 2) else 0j
+        perm = _T_PERM if step % 2 else _IDENT_PERM
+        return ThetaTransformRecord(perm, mu, u, ModularParameter(tv + step))
     # S step; -i*tau lies in the right half-plane, so the principal
     # branch of log gives Re sqrt(-i*tau) > 0.
     mu = -0.5 * cmath.log(-1j * tv) - 1j * PI * u * u / tv
@@ -261,7 +251,7 @@ def _reduce_tau_cached(tau: ModularParameter) -> tuple[ModularParameter, Modular
 
 
 def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformRecord:
-    """Composite record: modular word for tau, then lattice reduction of u."""
+    """Composite record, one per word token, then lattice reduction of u."""
     _check_index(r)
     _, word = _reduce_tau_cached(tau)
     record = identity_record(u, tau)

@@ -154,6 +154,11 @@ class TestReduceCommand:
         assert "word       S" in out
         assert parse_complex(out.split()[3]) == 2j
 
+    def test_translation_run_is_one_token(self, capsys):
+        assert main(["reduce", "--tau", "3000000+0.5i"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "word       T^-3000000 S\n" in out
+
     def test_with_argument(self, capsys):
         assert main(["reduce", "--tau", "0.9i", "--u", "3.1+1.8i", "--r", "4"]) == EXIT_OK
         out = capsys.readouterr().out

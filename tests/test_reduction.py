@@ -31,6 +31,15 @@ from thetakit.reduction import (
 
 PI = math.pi
 
+# word tokens: odd and even translations, runs past the mod-8 wrap, and S
+STEPS = [1, -1, 2, 7, -9, ModularStep.S]
+
+
+def token_id(step):
+    if step is ModularStep.S:
+        return "S"
+    return "T" if step == 1 else f"T^{step}"
+
 
 class TestReduceTau:
     def test_pure_imaginary_below_unit_circle(self):
@@ -41,7 +50,15 @@ class TestReduceTau:
     def test_single_translation(self):
         reduced, word = reduce_tau(ModularParameter(1 + 1j))
         assert reduced.tau == 1j
-        assert word == (ModularStep.T_INV,)
+        assert word == (-1,)
+
+    def test_translation_run_is_one_token(self):
+        reduced, word = reduce_tau(ModularParameter(2**30 + 1.5j))
+        assert word == (-(2**30),)
+        assert reduced.tau == 1.5j
+        # Im tau < 1 needs an inversion after the run
+        _, word = reduce_tau(ModularParameter(2**30 + 0.5j))
+        assert word == (-(2**30), ModularStep.S)
 
     def test_already_reduced_is_identity_word(self):
         reduced, word = reduce_tau(ModularParameter(0.25 + 1.5j))
@@ -71,9 +88,17 @@ class TestModularStep:
         assert record.multiplier() == pytest.approx(1.0, abs=1e-15)
 
     def test_t_swaps_three_and_four(self):
-        record = apply_modular_step(ModularStep.T, 3, 0.37, ModularParameter(0.9j))
+        record = apply_modular_step(1, 3, 0.37, ModularParameter(0.9j))
         assert record.map_index(3) == 4
         assert record.multiplier() == 1.0
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_t8_is_identity(self, r):
+        tau = ModularParameter(0.2 + 0.9j)
+        record = apply_modular_step(8, r, 0.37, tau)
+        assert record.index_map == (1, 2, 3, 4)
+        assert record.multiplier() == 1.0
+        assert record.new_tau.tau == tau.tau + 8
 
     def test_s_step_spot_check(self):
         # theta_2(0.2|2i) = exp(mu) * theta_4(0.1/i | i/2) with u' = u/tau
@@ -86,7 +111,7 @@ class TestModularStep:
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    @pytest.mark.parametrize("step", [ModularStep.T, ModularStep.T_INV, ModularStep.S])
+    @pytest.mark.parametrize("step", STEPS, ids=token_id)
     def test_all_steps_pointwise(self, r, step, rng):
         for _ in range(25):
             tau = random_tau(rng)
@@ -229,19 +254,18 @@ class TestRecordAlgebra:
     def test_identity_record_is_neutral(self):
         tau = ModularParameter(1.1j)
         ident = identity_record(0.3, tau)
-        step = apply_modular_step(ModularStep.T, 2, 0.3, tau)
+        step = apply_modular_step(1, 2, 0.3, tau)
         assert ident.then(step) == step
 
     @hsettings(max_examples=30, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
     def test_composition_associative(self, r, i1, i2, i3):
-        steps = [ModularStep.T, ModularStep.T_INV, ModularStep.S]
         tau = ModularParameter(0.3 + 1.4j)
         u = 0.21 - 0.14j
         records = []
         cur_r, cur_u, cur_tau = r, u, tau
         for idx in (i1, i2, i3):
-            rec = apply_modular_step(steps[idx], cur_r, cur_u, cur_tau)
+            rec = apply_modular_step(STEPS[idx], cur_r, cur_u, cur_tau)
             records.append(rec)
             cur_r, cur_u, cur_tau = rec.map_index(cur_r), rec.new_u, rec.new_tau
         a, b, c = records
@@ -253,6 +277,15 @@ class TestRecordAlgebra:
 
 
 class TestEvalReduced:
+    @pytest.mark.parametrize("period", [1000, 100_000, 2**30])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_invariant_under_eight_translations(self, r, period):
+        # Re tau0 is dyadic, so tau0 + period is exact in doubles
+        tau0 = 0.375 + 0.5j
+        base = eval_reduced(r, 0.3 + 0.1j, ModularParameter(tau0))
+        shifted = eval_reduced(r, 0.3 + 0.1j, ModularParameter(tau0 + period))
+        assert abs(shifted - base) <= 1e-14 * abs(base)
+
     def test_theta1_odd_at_any_tau(self):
         for tau in (ModularParameter(1e-3j), ModularParameter(0.49 + 2e-3j)):
             assert abs(eval_reduced(1, 0.0, tau)) < 1e-12
