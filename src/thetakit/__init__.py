@@ -8,6 +8,8 @@ harness.  See the cli module (or the installed "thetakit" command) for
 the command-line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DEFAULT_SETTINGS,
     Characteristics,
@@ -61,48 +63,8 @@ from .reduction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_SETTINGS",
-    "Characteristics",
-    "EvalSettings",
-    "ModularParameter",
-    "TruncationError",
-    "gauss_product_theta4",
-    "theta",
-    "theta1_prime0",
-    "theta_char",
-    "theta_constants",
-    "theta_product",
-    "truncation_index",
-    "Identity",
-    "ParseError",
-    "ResidualReport",
-    "UnknownIdentityError",
-    "VariableBinding",
-    "builtin_catalog",
-    "bracket_product",
-    "catalog_tsv",
-    "dual_vars",
-    "evaluate_identity",
-    "format_identity",
-    "koornwinder_equivalence_check",
-    "parse_identity",
-    "verify",
-    "EllipticK",
-    "big_theta",
-    "convert_characteristics",
-    "elliptic_k",
-    "multiplicative_coords",
-    "HalfPeriod",
-    "LatticeDecomposition",
-    "ModularStep",
-    "ThetaTransformRecord",
-    "apply_modular_step",
-    "eval_reduced",
-    "full_reduction",
-    "half_period_shift",
-    "reduce_tau",
-    "reduce_u",
-    "zeros_of",
+__all__ = ["__version__"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -1,5 +1,7 @@
 """Identity catalog, DSL, and verification engine."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     DF5_PARTNER,
     J_DUAL,
@@ -40,36 +42,7 @@ from .engine import (
 )
 
 __all__ = [
-    "DF5_PARTNER",
-    "J_DUAL",
-    "MANIFEST",
-    "builtin_catalog",
-    "canonical_form",
-    "catalog_by_id",
-    "catalog_ids",
-    "catalog_tags",
-    "catalog_tsv",
-    "DTHETA1",
-    "GAUSS4",
-    "PI_CONST",
-    "Identity",
-    "LinearForm",
-    "ParseError",
-    "Term",
-    "ThetaFactor",
-    "format_identity",
-    "parse_identity",
-    "structurally_equal",
-    "DEFAULT_BOX",
-    "STRESS_BOX",
-    "KoornwinderReport",
-    "ResidualReport",
-    "SamplingBox",
-    "UnknownIdentityError",
-    "VariableBinding",
-    "bracket_product",
-    "dual_vars",
-    "evaluate_identity",
-    "koornwinder_equivalence_check",
-    "verify",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -1,5 +1,9 @@
 """Numerical evaluation and randomized verification of catalog identities.
 
+Each identity is compiled once into a plan of plain numbers (_Plan).  A
+trial evaluates every unique factor once, by full reduction or, with
+use_reduction=False, by direct summation, then assembles the terms.
+
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
 checkable even where the raw theta values overflow the double range
@@ -13,8 +17,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 
 from ..core import (
     DEFAULT_SETTINGS,
@@ -129,42 +134,73 @@ def _theta_scaled(
     return value * cexp(1j * mu.imag), mu.real
 
 
-def _factor_scaled(
-    factor: ThetaFactor,
-    binding: VariableBinding,
-    settings: EvalSettings,
-    use_reduction: bool,
-) -> tuple[complex, float]:
-    """One factor as (mantissa, log_scale)."""
-    if factor.index == PI_CONST:
-        return complex(PI), 0.0
-    base = binding.tau if factor.tau_multiplier == 1 else binding.tau.scaled(2)
-    if factor.index == DTHETA1:
-        return theta1_prime0(base, settings), 0.0
-    if factor.index == GAUSS4:
-        return gauss_product_theta4(base, settings), 0.0
+@dataclass(frozen=True)
+class _Plan:
+    """An identity as plain numbers, compiled once.
 
-    lf = factor.argument
-    w = complex(float(lf.const))
-    for name, c in lf.var_coeffs:
-        w += c * binding.values[name]
-    # the argument's tau coefficient is relative to the base tau
-    sigma = lf.tau_coeff / factor.tau_multiplier
-    r = factor.index
-    if not use_reduction:
-        return theta(r, w + float(sigma) * base.tau, base, settings), 0.0
-    if sigma.denominator == 2:
-        # route the half-period part through the shift table: better
-        # accuracy than summing on the Im cell boundary
-        whole = sigma - Fraction(1, 2)
-        point = w + float(whole) * base.tau
-        record = half_period_shift(r, HalfPeriod.TAU_HALF, point, base)
-        mantissa, scale = _theta_scaled(
-            record.map_index(r), point, base, settings
-        )
-        mu = record.log_multiplier
-        return mantissa * cexp(1j * mu.imag), scale + mu.real
-    return _theta_scaled(r, w + float(sigma) * base.tau, base, settings)
+    factors: (kind, slot 0 for tau or 1 for 2tau, const, (variable
+    position, int coeff) pairs, tau offset, offset is a half-integer);
+    sides: per side, the terms as (coefficient, factor positions).
+    """
+
+    variables: tuple[str, ...]
+    factors: tuple[tuple, ...]
+    sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
+    doubled: bool  # some factor lives at 2tau
+
+
+@lru_cache(maxsize=1024)
+def _compile(identity: Identity) -> _Plan:
+    unique: dict[ThetaFactor, int] = {}  # each factor's position, by first use
+    sides = []
+    for side in (identity.lhs, identity.rhs):
+        terms = []
+        for t in side:
+            indices = tuple(unique.setdefault(f, len(unique)) for f in t.factors)
+            terms.append((complex(float(t.coefficient)), indices))
+        sides.append(tuple(terms))
+    factors = []
+    for f in unique:
+        lf = f.argument
+        sigma = lf.tau_coeff / f.tau_multiplier  # relative to the factor's slot
+        coeffs = tuple((identity.variables.index(name), c) for name, c in lf.var_coeffs)
+        factors.append((f.index, f.tau_multiplier - 1, float(lf.const), coeffs,
+                        float(sigma), sigma.denominator == 2))
+    doubled = any(f.tau_multiplier == 2 for f in unique)
+    return _Plan(identity.variables, tuple(factors), tuple(sides), doubled)
+
+
+def _factor_values(
+    plan: _Plan, binding: VariableBinding, settings: EvalSettings, use_reduction: bool
+) -> Iterator[tuple[complex, float]]:
+    """Every unique factor of the plan as (mantissa, log_scale)."""
+    bases = (binding.tau, binding.tau.scaled(2) if plan.doubled else None)
+    values = [binding.values[name] for name in plan.variables]
+    for kind, slot, const, coeffs, offset, half in plan.factors:
+        base = bases[slot]
+        if kind == PI_CONST:
+            yield complex(PI), 0.0
+        elif kind == DTHETA1:
+            yield theta1_prime0(base, settings), 0.0
+        elif kind == GAUSS4:
+            yield gauss_product_theta4(base, settings), 0.0
+        else:
+            w = complex(const)
+            for i, c in coeffs:
+                w += c * values[i]
+            if not use_reduction:
+                yield theta(kind, w + offset * base.tau, base, settings), 0.0
+            elif half:
+                # route the half-period part through the shift table:
+                # better accuracy than summing on the Im cell boundary
+                point = w + (offset - 0.5) * base.tau
+                record = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base)
+                inner = record.map_index(kind)
+                mantissa, scale = _theta_scaled(inner, point, base, settings)
+                mu = record.log_multiplier
+                yield mantissa * cexp(1j * mu.imag), scale + mu.real
+            else:
+                yield _theta_scaled(kind, w + offset * base.tau, base, settings)
 
 
 @dataclass
@@ -181,25 +217,23 @@ def _evaluate_detail(
     settings: EvalSettings,
     use_reduction: bool,
 ) -> _EvalDetail:
-    cache: dict[ThetaFactor, tuple[complex, float]] = {}
+    return _evaluate_plan(_compile(identity), binding, settings, use_reduction)
 
-    def factor_value(f: ThetaFactor) -> tuple[complex, float]:
-        hit = cache.get(f)
-        if hit is None:
-            hit = _factor_scaled(f, binding, settings, use_reduction)
-            cache[f] = hit
-        return hit
 
+def _evaluate_plan(
+    plan: _Plan, binding: VariableBinding, settings: EvalSettings, use_reduction: bool
+) -> _EvalDetail:
+    values = list(_factor_values(plan, binding, settings, use_reduction))
     sides: list[list[tuple[complex, float]]] = []
     log_max = -math.inf
     finite = True
-    for side in (identity.lhs, identity.rhs):
+    for side in plan.sides:
         evaluated = []
-        for term in side:
-            mantissa = complex(float(term.coefficient))
+        for coefficient, indices in side:
+            mantissa = coefficient
             scale = 0.0
-            for f in term.factors:
-                m, s = factor_value(f)
+            for i in indices:
+                m, s = values[i]
                 mantissa *= m
                 scale += s
             if not (math.isfinite(mantissa.real) and math.isfinite(mantissa.imag)):
@@ -299,6 +333,7 @@ def verify(
         identity = by_id.get(identity_id)
         if identity is None:
             raise UnknownIdentityError(identity_id)
+        plan = _compile(identity)
         rng = random.Random(f"{seed}:{identity_id}")
         max_abs = 0.0
         max_rel = 0.0
@@ -307,7 +342,7 @@ def verify(
             for _ in range(_RESAMPLE_LIMIT + 1):
                 binding = _sample_binding(rng, identity.variables, box)
                 try:
-                    detail = _evaluate_detail(identity, binding, settings, use_reduction)
+                    detail = _evaluate_plan(plan, binding, settings, use_reduction)
                 except TruncationError:  # a failed trial, not an aborted run
                     detail = _EvalDetail(math.inf, math.inf, math.inf, math.inf)
                 if not max(detail.lhs_log_mag, detail.rhs_log_mag) < _DEGENERATE_LOG:

@@ -7,7 +7,7 @@ by generator moves T^k: tau -> tau+k and S: tau -> -1/tau, and u into the
 centred lattice cell |Re u0| <= 1/2, |Im u0| <= Im(tau)/2.  A translation
 run is one word token k, so reduction cost grows with the S steps only.
 
-Every move is tracked exactly as a ThetaTransformRecord: an index
+A move, or a whole reduction, is a ThetaTransformRecord: an index
 permutation plus a log-form multiplier mu with
 
     theta_r(u|tau) = exp(mu) * theta_{perm(r)}(u'|tau').
@@ -19,6 +19,7 @@ exp(-pi*i*(2*m*u0 + m^2*tau)) overflows doubles already for moderate m.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -162,6 +163,34 @@ def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
         word.append(ModularStep.S)
 
 
+def _token(step: ModularStep | int, tv: complex) -> tuple:
+    """(is S, tau before the token, tau-only constant, index map).
+
+    The constant is -log(-i*tau)/2 for S (principal branch: -i*tau lies
+    in the right half-plane) and the T^k phase of r in {1, 2}, k mod 8.
+    """
+    if step is ModularStep.S:
+        return True, tv, -0.5 * cmath.log(-1j * tv), _S_PERM
+    perm = _T_PERM if step % 2 else _IDENT_PERM
+    return False, tv, -0.25j * PI * (((step + 4) % 8) - 4), perm
+
+
+def _walk(tokens, r: int, u: complex) -> tuple[complex, int, complex]:
+    """Log multiplier, index and argument after the tokens, from (r, u)."""
+    mu = 0j
+    for is_s, tv, const, perm in tokens:
+        if is_s:
+            step_mu = const - 1j * PI * u * u / tv
+            if r == 1:
+                step_mu += 0.5j * PI
+            mu += step_mu
+            u = u / tv
+        else:
+            mu += const if r in (1, 2) else 0j
+        r = perm[r - 1]
+    return mu, r, u
+
+
 def apply_modular_step(
     step: ModularStep | int, r: int, u: complex, tau: ModularParameter
 ) -> ThetaTransformRecord:
@@ -174,20 +203,10 @@ def apply_modular_step(
     costs exp(-log(-i*tau)/2 - pi*i*u^2/tau), times i for r = 1.
     """
     _check_index(r)
-    u = complex(u)
-    tv = tau.tau
-    if step is not ModularStep.S:
-        mu = -0.25j * PI * (((step + 4) % 8) - 4) if r in (1, 2) else 0j
-        perm = _T_PERM if step % 2 else _IDENT_PERM
-        return ThetaTransformRecord(perm, mu, u, ModularParameter(tv + step))
-    # S step; -i*tau lies in the right half-plane, so the principal
-    # branch of log gives Re sqrt(-i*tau) > 0.
-    mu = -0.5 * cmath.log(-1j * tv) - 1j * PI * u * u / tv
-    if r == 1:
-        mu += 0.5j * PI
-    return ThetaTransformRecord(
-        _S_PERM, mu, u / tv, ModularParameter(apply_step_to_tau(ModularStep.S, tv))
-    )
+    token = _token(step, tau.tau)
+    mu, _, new_u = _walk((token,), r, complex(u))
+    new_tau = ModularParameter(apply_step_to_tau(step, tau.tau))
+    return ThetaTransformRecord(token[3], mu, new_u, new_tau)
 
 
 def reduce_u(
@@ -246,22 +265,33 @@ def half_period_shift(
 
 
 @lru_cache(maxsize=4096)
-def _reduce_tau_cached(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
-    return reduce_tau(tau)
+def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
+    """The tokens of tau's word (see _token), its end parameter and index map.
+
+    re_sign keeps Re tau = 0.0 and -0.0 apart: equal keys, different bits.
+    """
+    end, word = reduce_tau(tau)
+    tokens = []
+    tv = tau.tau
+    index_map = _IDENT_PERM
+    for step in word:
+        tokens.append(_token(step, tv))
+        index_map = tuple(tokens[-1][3][i - 1] for i in index_map)
+        tv = apply_step_to_tau(step, tv)
+    return tuple(tokens), end, index_map
 
 
 def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformRecord:
-    """Composite record, one per word token, then lattice reduction of u."""
+    """Record of the word of tau, then of the lattice reduction of u.
+
+    Equal to folding apply_modular_step over the word with then() and
+    finishing with reduce_u; the tau-only part of the word is cached.
+    """
     _check_index(r)
-    _, word = _reduce_tau_cached(tau)
-    record = identity_record(u, tau)
-    cur_r = r
-    for step in word:
-        step_record = apply_modular_step(step, cur_r, record.new_u, record.new_tau)
-        cur_r = step_record.map_index(cur_r)
-        record = record.then(step_record)
-    _, cell_record = reduce_u(cur_r, record.new_u, record.new_tau)
-    return record.then(cell_record)
+    tokens, end, index_map = _tau_path(tau, math.copysign(1.0, tau.tau.real))
+    mu, r, u = _walk(tokens, r, complex(u))
+    _, cell = reduce_u(r, u, end)
+    return ThetaTransformRecord(index_map, mu + cell.log_multiplier, cell.new_u, end)
 
 
 def eval_reduced(

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, JSON reports, TSV export."""
 
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,16 @@ class TestVerify:
         for report in payload["reports"]:
             assert set(report) == {"id", "trials", "seed", "max_abs", "max_rel", "status"}
             assert report["status"] == "pass"
+
+    def test_seed0_report_matches_recorded_digest(self, tmp_path, capsys):
+        # sha256 recorded for seed 0 in perfbench/baseline.json: the engine
+        # must reproduce every report byte for byte
+        path = tmp_path / "seed0.json"
+        code = main(["verify", "--all", "--trials", "5", "--seed", "0", "--json", str(path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "66861df1b640195f5edcd4af7e858bb6bcdb048d76b83398d177a8dcd16088b3"
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -286,6 +287,19 @@ class TestEvalReduced:
         shifted = eval_reduced(r, 0.3 + 0.1j, ModularParameter(tau0 + period))
         assert abs(shifted - base) <= 1e-14 * abs(base)
 
+    @pytest.mark.parametrize(
+        "r,u,tau,value",
+        [
+            (1, 0.3 + 0.2j, 0.1 + 1.2j, 0.7314980853248862 + 0.36642544915182523j),
+            (2, -0.7 + 1.1j, 0.31 + 0.04j, -4.100281274234863e41 - 7.657606867897449e40j),
+            (3, 1.3 - 0.4j, 0.5 + 1e-3j, 8.397160715193054e164 - 8.397160715669492e164j),
+            (4, 2.1 + 0.9j, 321.7 + 0.02j, 1.1039758380549651e55 + 4.23791249660557e55j),
+        ],
+    )
+    def test_values_are_unchanged(self, r, u, tau, value):
+        # pinned bit for bit: caching the tau-only part may not move a value
+        assert repr(eval_reduced(r, u, ModularParameter(tau))) == repr(value)
+
     def test_theta1_odd_at_any_tau(self):
         for tau in (ModularParameter(1e-3j), ModularParameter(0.49 + 2e-3j)):
             assert abs(eval_reduced(1, 0.0, tau)) < 1e-12
@@ -378,3 +392,58 @@ def test_full_reduction_lands_in_fast_cell(rng):
         assert in_fundamental_domain(record.new_tau.tau)
         assert abs(record.new_u.real) <= 0.5 + 1e-9
         assert abs(record.new_u.imag) <= record.new_tau.tau.imag / 2 + 1e-9
+
+
+def _fold_reference(r, u, tau):
+    """full_reduction written out: one apply_modular_step record per token."""
+    _, word = reduce_tau(tau)
+    record = identity_record(u, tau)
+    cur_r = r
+    for step in word:
+        step_record = apply_modular_step(step, cur_r, record.new_u, record.new_tau)
+        cur_r = step_record.map_index(cur_r)
+        record = record.then(step_record)
+    _, cell_record = reduce_u(cur_r, record.new_u, record.new_tau)
+    return record.then(cell_record)
+
+
+def _regime_tau(rng, regime):
+    if regime == "default":
+        return complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
+    if regime == "stress":
+        return complex(rng.uniform(-0.5, 0.5), rng.uniform(1e-3, 0.1))
+    if regime == "cusp":  # within 2e-3 of p/q, q <= 5
+        q = rng.randint(1, 5)
+        cusp = rng.randint(-2 * q, 2 * q) / q
+        return complex(cusp + rng.uniform(-1.4e-3, 1.4e-3), rng.uniform(1e-6, 1.4e-3))
+    return complex(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 3.0))  # large Re tau
+
+
+@pytest.mark.parametrize("regime", ["default", "stress", "cusp", "large-re"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_full_reduction_equals_token_fold_bit_for_bit(r, regime):
+    from thetakit.reduction import _tau_path
+
+    rng = random.Random(f"fold:{r}:{regime}")
+    for _ in range(60):
+        tau = ModularParameter(_regime_tau(rng, regime))
+        u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        want = _fold_reference(r, u, tau)
+        got = full_reduction(r, u, tau)
+        assert got == want
+        assert repr(got) == repr(want)  # signed zeros too
+        assert got.index_map == want.index_map
+        hits = _tau_path.cache_info().hits
+        again = full_reduction(r, u, tau)
+        assert _tau_path.cache_info().hits == hits + 1
+        assert again == got and repr(again) == repr(got)
+
+
+def test_cache_keeps_signed_zero_re_tau_apart():
+    # ModularParameter(0.5j) == ModularParameter(complex(-0.0, 0.5)), but
+    # their words start from different bits
+    for re_first, re_second in ((0.0, -0.0), (-0.0, 0.0)):
+        for r in (1, 2, 3, 4):
+            full_reduction(r, 0j, ModularParameter(complex(re_first, 0.5)))
+            tau = ModularParameter(complex(re_second, 0.5))
+            assert repr(full_reduction(r, 0j, tau)) == repr(_fold_reference(r, 0j, tau))
