@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .core import (
@@ -197,52 +197,11 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class RunReport:
-    """Verification run summary.
-
-    Serialization covers everything except the wall time, so identical
-    invocations produce byte-identical JSON; timing is console-only.
-    """
-
-    version: str
-    seed: int
-    trials: int
-    tol: float
-    stress: bool
-    reports: list = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.max_rel_residual <= self.tol for r in self.reports)
-
-    def to_payload(self) -> dict:
-        return {
-            "version": self.version,
-            "command": "verify",
-            "seed": self.seed,
-            "trials": self.trials,
-            "tol": self.tol,
-            "stress": self.stress,
-            "all_pass": self.all_pass,
-            "reports": [
-                {
-                    "id": r.identity_id,
-                    "trials": r.trials,
-                    "seed": self.seed,
-                    "max_abs": r.max_abs_residual,
-                    "max_rel": r.max_rel_residual,
-                    "status": "pass" if r.max_rel_residual <= self.tol else "fail",
-                }
-                for r in self.reports
-            ],
-        }
-
-
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         return _usage_error("--trials must be >= 1")
+    if not 0.0 < args.tol < math.inf:
+        return _usage_error("--tol must be finite and positive")
     ids = [ident.id for ident in builtin_catalog()] if args.all else args.ids
     box = STRESS_BOX if args.stress else DEFAULT_BOX
     started = time.perf_counter()
@@ -251,33 +210,47 @@ def _cmd_verify(args) -> int:
     except UnknownIdentityError as exc:
         print(f"thetakit: error: unknown identity id {exc.args[0]!r}", file=sys.stderr)
         return EXIT_UNKNOWN_ID
-    run = RunReport(
-        version=__version__,
-        seed=args.seed,
-        trials=args.trials,
-        tol=args.tol,
-        stress=bool(args.stress),
-        reports=reports,
-        wall_time=time.perf_counter() - started,
-    )
+    wall_time = time.perf_counter() - started
 
-    for report in run.reports:
-        status = "pass" if report.max_rel_residual <= args.tol else "FAIL"
+    # the JSON report leaves out the wall time, so identical runs are byte-identical
+    rows = []
+    for report in reports:
+        passed = report.max_rel_residual <= args.tol
         print(
-            f"{status}  {report.identity_id:<14} trials={report.trials} "
-            f"max_rel={report.max_rel_residual:.3e} max_abs={report.max_abs_residual:.3e}"
+            f"{'pass' if passed else 'FAIL'}  {report.identity_id:<14} "
+            f"trials={report.trials} max_rel={report.max_rel_residual:.3e} "
+            f"max_abs={report.max_abs_residual:.3e}"
         )
+        rows.append({
+            "id": report.identity_id,
+            "trials": report.trials,
+            "seed": args.seed,
+            "max_abs": report.max_abs_residual,
+            "max_rel": report.max_rel_residual,
+            "status": "pass" if passed else "fail",
+        })
+    all_pass = all(row["status"] == "pass" for row in rows)
     print(
-        f"# {len(run.reports)} identities, seed={args.seed}, trials={args.trials}, "
-        f"tol={args.tol:g}, {'all pass' if run.all_pass else 'FAILURES PRESENT'} "
-        f"({run.wall_time:.2f}s)"
+        f"# {len(rows)} identities, seed={args.seed}, trials={args.trials}, "
+        f"tol={args.tol:g}, {'all pass' if all_pass else 'FAILURES PRESENT'} "
+        f"({wall_time:.2f}s)"
     )
 
     if args.json:
+        payload = {
+            "version": __version__,
+            "command": "verify",
+            "seed": args.seed,
+            "trials": args.trials,
+            "tol": args.tol,
+            "stress": bool(args.stress),
+            "all_pass": all_pass,
+            "reports": rows,
+        }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(run.to_payload(), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK if run.all_pass else EXIT_VERIFY_FAIL
+    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
 def _cmd_catalog(args) -> int:

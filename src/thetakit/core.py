@@ -59,10 +59,6 @@ class TruncationError(ArithmeticError):
     module) before evaluating.
     """
 
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
-
 
 def cexp(z: complex) -> complex:
     """exp(z) saturating to a complex infinity instead of raising.
@@ -138,8 +134,8 @@ class EvalSettings:
     max_terms: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 
@@ -192,8 +188,7 @@ def truncation_index(
             return n
     raise TruncationError(
         f"truncation window exceeds max_terms={max_terms} "
-        f"(Im tau={t:.3g}, |Im u|={y:.3g}); reduce the arguments first",
-        required=max_terms + 1,
+        f"(Im tau={t:.3g}, |Im u|={y:.3g}); reduce the arguments first"
     )
 
 
@@ -323,8 +318,7 @@ def theta_product(
     raise TruncationError(
         f"product truncation exceeds max_terms={settings.max_terms} "
         f"(|q|={math.sqrt(aq2):.6f} or |Im u|={y:.3g} too large); "
-        "reduce the arguments first",
-        required=settings.max_terms + 1,
+        "reduce the arguments first"
     )
 
 
@@ -379,6 +373,5 @@ def gauss_product_theta4(
             return p
     raise TruncationError(
         f"product truncation exceeds max_terms={settings.max_terms} "
-        f"(|q|={aq:.6f} too close to 1)",
-        required=settings.max_terms + 1,
+        f"(|q|={aq:.6f} too close to 1)"
     )

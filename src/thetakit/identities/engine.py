@@ -3,6 +3,8 @@
 Each identity is compiled once into a plan of plain numbers (_Plan).  A
 trial evaluates every unique factor once, by full reduction or, with
 use_reduction=False, by direct summation, then assembles the terms.
+The engine runs at one accuracy: every factor is evaluated at the
+default EvalSettings (tol 1e-15, max_terms 1000).
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -22,9 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..core import (
-    DEFAULT_SETTINGS,
     PI,
-    EvalSettings,
     ModularParameter,
     TruncationError,
     cexp,
@@ -114,22 +114,19 @@ def bracket_product(
     z: complex,
     tau: ModularParameter,
     primed: bool = False,
-    settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> complex:
     """[pqrs] = t_p(W) t_q(X) t_r(Y) t_s(Z), at dual points when primed."""
     points = dual_vars(w, x, y, z) if primed else (w, x, y, z)
     value = 1.0 + 0j
     for r, point in zip(indices, points):
-        value *= eval_reduced(r, point, tau, settings)
+        value *= eval_reduced(r, point, tau)
     return value
 
 
-def _theta_scaled(
-    r: int, u: complex, tau: ModularParameter, settings: EvalSettings
-) -> tuple[complex, float]:
+def _theta_scaled(r: int, u: complex, tau: ModularParameter) -> tuple[complex, float]:
     """theta_r(u|tau) as (mantissa, log_scale) via full reduction."""
     record = full_reduction(r, u, tau)
-    value = theta(record.map_index(r), record.new_u, record.new_tau, settings)
+    value = theta(record.map_index(r), record.new_u, record.new_tau)
     mu = record.log_multiplier
     return value * cexp(1j * mu.imag), mu.real
 
@@ -171,7 +168,7 @@ def _compile(identity: Identity) -> _Plan:
 
 
 def _factor_values(
-    plan: _Plan, binding: VariableBinding, settings: EvalSettings, use_reduction: bool
+    plan: _Plan, binding: VariableBinding, use_reduction: bool
 ) -> Iterator[tuple[complex, float]]:
     """Every unique factor of the plan as (mantissa, log_scale)."""
     bases = (binding.tau, binding.tau.scaled(2) if plan.doubled else None)
@@ -181,26 +178,26 @@ def _factor_values(
         if kind == PI_CONST:
             yield complex(PI), 0.0
         elif kind == DTHETA1:
-            yield theta1_prime0(base, settings), 0.0
+            yield theta1_prime0(base), 0.0
         elif kind == GAUSS4:
-            yield gauss_product_theta4(base, settings), 0.0
+            yield gauss_product_theta4(base), 0.0
         else:
             w = complex(const)
             for i, c in coeffs:
                 w += c * values[i]
             if not use_reduction:
-                yield theta(kind, w + offset * base.tau, base, settings), 0.0
+                yield theta(kind, w + offset * base.tau, base), 0.0
             elif half:
                 # route the half-period part through the shift table:
                 # better accuracy than summing on the Im cell boundary
                 point = w + (offset - 0.5) * base.tau
                 record = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base)
                 inner = record.map_index(kind)
-                mantissa, scale = _theta_scaled(inner, point, base, settings)
+                mantissa, scale = _theta_scaled(inner, point, base)
                 mu = record.log_multiplier
                 yield mantissa * cexp(1j * mu.imag), scale + mu.real
             else:
-                yield _theta_scaled(kind, w + offset * base.tau, base, settings)
+                yield _theta_scaled(kind, w + offset * base.tau, base)
 
 
 @dataclass
@@ -211,19 +208,10 @@ class _EvalDetail:
     rhs_log_mag: float
 
 
-def _evaluate_detail(
-    identity: Identity,
-    binding: VariableBinding,
-    settings: EvalSettings,
-    use_reduction: bool,
-) -> _EvalDetail:
-    return _evaluate_plan(_compile(identity), binding, settings, use_reduction)
-
-
 def _evaluate_plan(
-    plan: _Plan, binding: VariableBinding, settings: EvalSettings, use_reduction: bool
+    plan: _Plan, binding: VariableBinding, use_reduction: bool = True
 ) -> _EvalDetail:
-    values = list(_factor_values(plan, binding, settings, use_reduction))
+    values = list(_factor_values(plan, binding, use_reduction))
     sides: list[list[tuple[complex, float]]] = []
     log_max = -math.inf
     finite = True
@@ -282,15 +270,15 @@ def _evaluate_plan(
 def evaluate_identity(
     identity: Identity,
     binding: VariableBinding,
-    settings: EvalSettings = DEFAULT_SETTINGS,
     use_reduction: bool = True,
 ) -> tuple[float, float]:
     """(absolute residual, relative residual) of the identity at the binding.
 
     With use_reduction=False every factor is summed directly, which is
-    only viable where the raw series converges within max_terms.
+    only viable where the raw series converges within the default
+    max_terms.
     """
-    detail = _evaluate_detail(identity, binding, settings, use_reduction)
+    detail = _evaluate_plan(_compile(identity), binding, use_reduction)
     return detail.abs_residual, detail.rel_residual
 
 
@@ -310,9 +298,7 @@ def verify(
     trials: int = 200,
     seed: int = 42,
     box: SamplingBox = DEFAULT_BOX,
-    settings: EvalSettings = DEFAULT_SETTINGS,
     rel_tol: float = 1e-9,
-    use_reduction: bool = True,
     catalog: dict[str, Identity] | None = None,
 ) -> list[ResidualReport]:
     """Randomized residual check, deterministic for a given seed.
@@ -342,7 +328,7 @@ def verify(
             for _ in range(_RESAMPLE_LIMIT + 1):
                 binding = _sample_binding(rng, identity.variables, box)
                 try:
-                    detail = _evaluate_plan(plan, binding, settings, use_reduction)
+                    detail = _evaluate_plan(plan, binding)
                 except TruncationError:  # a failed trial, not an aborted run
                     detail = _EvalDetail(math.inf, math.inf, math.inf, math.inf)
                 if not max(detail.lhs_log_mag, detail.rhs_log_mag) < _DEGENERATE_LOG:
@@ -390,7 +376,6 @@ def koornwinder_equivalence_check(
     x: complex,
     y: complex,
     tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> KoornwinderReport:
     """Check the five linear relations among the quad products A_j, B_j, C_j.
 
@@ -401,7 +386,7 @@ def koornwinder_equivalence_check(
     are exactly the asymmetric addition identities with r = 1, 2.
     """
     a, b, c = (
-        {j: bracket_product((j,) * 4, *points, tau, settings=settings) for j in (1, 2)}
+        {j: bracket_product((j,) * 4, *points, tau) for j in (1, 2)}
         for points in (
             (u + x, u - x, v + y, v - y),
             (u + y, u - y, v + x, v - x),

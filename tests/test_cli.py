@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from thetakit.cli import EXIT_OK, EXIT_UNKNOWN_ID, EXIT_USAGE, format_complex, main, parse_complex
+from thetakit.cli import (
+    EXIT_OK,
+    EXIT_UNKNOWN_ID,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
+    format_complex,
+    main,
+    parse_complex,
+)
 from thetakit.identities import builtin_catalog
 
 
@@ -81,6 +89,37 @@ class TestEval:
             out_complex(payload["product"]), rel=1e-10
         )
 
+    def test_product_comparison_plain_text(self, capsys):
+        assert main(["eval", "--r", "2", "--u", "0.25", "--tau", "1i", "--product"]) == EXIT_OK
+        value, product, difference = capsys.readouterr().out.splitlines()
+        assert product.startswith("product    ")
+        assert difference.startswith("difference ")
+        assert out_complex(product.split()[1]) == pytest.approx(out_complex(value), rel=1e-10)
+        assert float(difference.split()[1]) < 1e-11
+
+    def test_truncation_exhaustion_exits_with_failure(self, capsys):
+        code = main(["eval", "--char", "0,0", "--u", "0.3", "--tau", "0.0001i", "--max-terms", "10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY_FAIL
+        assert captured.out == ""
+        assert "evaluation failed" in captured.err
+
+    def test_three_characteristics_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--char", "1,2,3", "--tau", "1i"])
+        assert err.value.code == EXIT_USAGE
+        assert "--char" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-15"])
+    @pytest.mark.parametrize("which", [["--char", "0.5,0.5"], ["--r", "3"]])
+    def test_non_finite_or_non_positive_tol_rejected(self, which, tol, capsys):
+        # a three-term sum under tol=inf came back as the value, exit 0
+        code = main(["eval", *which, "--u", "0.3", "--tau", "0.01i", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "tol must be finite and positive" in captured.err
+
 
 class TestVerify:
     def test_single_identity_passes(self, capsys):
@@ -91,6 +130,19 @@ class TestVerify:
     def test_unknown_id(self, capsys):
         assert main(["verify", "--id", "NO.SUCH", "--trials", "1"]) == EXIT_UNKNOWN_ID
         assert "NO.SUCH" in capsys.readouterr().err
+
+    def test_zero_trials_rejected(self, capsys):
+        assert main(["verify", "--id", "B.I.1", "--trials", "0"]) == EXIT_USAGE
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_non_finite_or_non_positive_tol_rejected(self, tol, capsys):
+        # tol=inf passed every id and tol=nan failed every id
+        code = main(["verify", "--id", "B.I.1", "--trials", "2", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--tol must be finite and positive" in captured.err
 
     def test_json_report_round_trip(self, tmp_path, capsys):
         path = tmp_path / "report.json"

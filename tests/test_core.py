@@ -51,6 +51,12 @@ def test_settings_validation():
         EvalSettings(max_terms=0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-15])
+def test_settings_reject_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        EvalSettings(tol=tol)
+
+
 def test_cexp_saturates_without_nan():
     assert cexp(800 + 0j) == complex(math.inf, 0.0)
     assert math.copysign(1.0, cexp(complex(800, -0.0)).imag) == -1.0

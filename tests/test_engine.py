@@ -249,6 +249,29 @@ def test_verify_reports_truncation_exhaustion_as_failure():
     assert report.failing_binding is not None
 
 
+# next to the cusp at 0 the reduced mantissas of D.df2a overflow: the
+# residual is non-finite (recorded in perfbench/defects.py)
+CUSP_BINDING = VariableBinding(
+    {"u": -0.3932629781341648 + 0.1751612122871189j},
+    ModularParameter(0.0007649580016637154 + 0.0014230987092141564j),
+)
+
+
+def test_non_finite_terms_give_infinite_residuals():
+    ident = catalog_by_id()["D.df2a"]
+    assert evaluate_identity(ident, CUSP_BINDING) == (float("inf"), float("inf"))
+
+
+def test_verify_counts_a_non_finite_trial_as_failed(monkeypatch):
+    import thetakit.identities.engine as engine
+
+    monkeypatch.setattr(engine, "_sample_binding", lambda rng, variables, box: CUSP_BINDING)
+    (report,) = verify(["D.df2a"], trials=2, seed=1, box=STRESS_BOX, rel_tol=1e-8)
+    assert report.max_rel_residual == float("inf")
+    assert report.max_abs_residual == float("inf")
+    assert report.failing_binding is CUSP_BINDING
+
+
 def test_residual_formula_on_pure_constants():
     # rel = |LHS - RHS| / (eps + sum of |term| over both sides)
     binding = VariableBinding({}, ModularParameter(1j))
