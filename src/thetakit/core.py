@@ -10,19 +10,20 @@ theta constants theta_1'(0), theta_2(0), theta_3(0), theta_4(0).
 
 Truncation is certified, not heuristic: the symmetric window [-N, N] is
 chosen so that a geometric majorant of the dropped tail stays below the
-tolerance, scaled by the peak term magnitude.  All arithmetic is double
-precision.  Convergence degrades as Im(tau) -> 0; callers who need that
-regime should go through the reduction module, which maps any valid
-(u, tau) into the fast-convergence cell first.
+tolerance, scaled by the peak term magnitude.  Inside the reduced cell
+that majorant is bounded once, so the window there is the constant N
+(no search).  All arithmetic is double precision.  Convergence degrades
+as Im(tau) -> 0; callers who need that regime should go through the
+reduction module, which maps any valid (u, tau) into the
+fast-convergence cell first.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "PI",
@@ -50,6 +51,12 @@ _EXP_MAX = 709.0
 
 # Window radius above which _series switches to vectorized summation.
 _VECTOR_CUTOFF = 64
+
+# Fixed window radius inside the reduced cell Im tau >= sqrt(3)/2,
+# |Im u| <= Im tau/2, proven for every tol >= _FIXED_TOL (see _window).
+N = 5
+_CELL_IM_TAU = math.sqrt(3.0) / 2.0
+_FIXED_TOL = 1e-18
 
 
 class TruncationError(ArithmeticError):
@@ -165,10 +172,11 @@ def truncation_index(
     past the peak each step shrinks the bound by at least
     |q|^{2(k+a)} * e^{2*pi*|Im u|}, so the tail is summed geometrically.
     Finite for every Im(tau) > 0, but raises TruncationError when the
-    needed N exceeds max_terms (reduce the arguments first).
+    needed N exceeds max_terms (reduce the arguments first), and
+    ValueError unless tol is finite and positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     t = tau.tau.imag
     y = abs(complex(u).imag)
     a0 = a - round(a)  # exact series reindexing; |a0| <= 1/2
@@ -203,11 +211,32 @@ def _peak_log(t: float, y_signed: float, a0: float) -> float:
 
 
 def _window(tau: ModularParameter, u: complex, a: float, settings: EvalSettings) -> int:
-    """Window radius for absolute error < tol * max(1, peak term)."""
-    peak = _peak_log(tau.tau.imag, complex(u).imag, a - round(a))
+    """Window radius for absolute error < tol * max(1, peak term).
+
+    In the reduced cell (Im tau >= sqrt(3)/2, 2*|Im u| <= Im tau) the
+    radius is the constant N, with no search, whenever tol >= _FIXED_TOL
+    and max_terms >= N.  Proof: truncation_index's majorant at the cell's
+    worst corner, Im tau = sqrt(3)/2, |Im u| = Im tau/2 and a0 = 1/2 (for
+    any a0, f(n + a0) + f(n - a0) <= f(n - 1/2) + f(n + 1/2) since the
+    one-sided tail f is convex there), is below 1e-18 at N = 5.  With
+    |Im u| <= Im tau/2 every exponent of the majorant is at most
+    -pi*Im tau*x*(x - 1) and -2*pi*Im tau*x at x >= 9/2, so it only
+    shrinks as Im tau grows; the peak scaling only loosens the target.
+    Every other call searches.  The target tol * exp(peak) is clamped to
+    the largest double, so a huge tol at a huge peak still gives a window.
+    """
+    t = tau.tau.imag
+    if (
+        t >= _CELL_IM_TAU
+        and 2.0 * abs(u.imag) <= t
+        and settings.tol >= _FIXED_TOL
+        and settings.max_terms >= N
+    ):
+        return N
+    peak = _peak_log(t, u.imag, a - round(a))
     eff_tol = settings.tol
     if peak > 0.0:
-        eff_tol *= math.exp(min(peak, _EXP_MAX))
+        eff_tol = min(eff_tol * math.exp(min(peak, _EXP_MAX)), sys.float_info.max)
     return truncation_index(tau, u, a, eff_tol, settings.max_terms)
 
 
@@ -215,18 +244,47 @@ def _series(n: int, a0: float, v: complex, tv: complex, alternating: bool) -> co
     """sum_{|k|<=n} (+-1)^k exp(pi*i*(tv*x^2 + 2*x*v)), x = k + a0.
 
     The one summation behind theta and theta_char.  alternating puts in
-    the exact sign (-1)^k of a half-integer b; windows wider than
-    _VECTOR_CUTOFF are summed with numpy.
+    the exact sign (-1)^k of a half-integer b.  Up to _VECTOR_CUTOFF the
+    sum starts at the discrete peak k0 = round(-Im v/Im tv - a0), clamped
+    to the window, and walks outward by the term recurrence
+    term *= ratio, ratio *= q^2: the step from x to x + 1 is
+    exp(pi*i*(tv*(2x+1) + 2v)), and each further step multiplies it by
+    q^2 = exp(2*pi*i*tv).  That takes 4 exponentials instead of 2n + 1.
+    The term modulus is a Gaussian in x whose centre lies within 1/2 of
+    x0 (or past the window edge that k0 was clamped to), so every step
+    leads away from the centre, every ratio has modulus <= 1 and no
+    partial term overflows.
+    A saturated (non-finite) peak term is returned as it is, so the sum
+    never turns it into nan.  Wider windows are summed with numpy.
     """
     if n <= _VECTOR_CUTOFF:
+        ipi = 1j * PI
+        k0 = round(min(max(-v.imag / tv.imag - a0, -n), n))
+        x0 = k0 + a0
+        peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
+        if alternating and (k0 & 1):
+            peak = -peak
+        if not cmath.isfinite(peak):
+            return peak
+        # |q^2| < 1 and |ratio| <= 1: cmath.exp cannot overflow on these
+        q2 = cmath.exp(2.0 * ipi * tv)
         s = 0j
-        for k in range(-n, n + 1):
-            x = k + a0
-            term = cexp(1j * PI * (tv * x * x + 2.0 * x * v))
-            if alternating and (k & 1):
-                term = -term
-            s += term
-        return s
+        for steps, step_expo in (
+            (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
+            (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
+        ):
+            if steps:
+                term = peak
+                ratio = cmath.exp(ipi * step_expo)
+                if alternating:
+                    ratio = -ratio
+                for _ in range(steps):
+                    term *= ratio
+                    ratio *= q2
+                    s += term
+        return peak + s
+    import numpy as np
+
     k = np.arange(-n, n + 1, dtype=np.float64)
     x = k + a0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,7 +328,7 @@ def theta(
     shift = 0.5 if r in (1, 2) else 0.0
     n = _window(tau, u, shift, settings)
     s = _series(n, shift, u, tau.tau, r in (1, 4))
-    return -1j * s if r == 1 else s
+    return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
 
 
 def theta_product(

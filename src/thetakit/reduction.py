@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_SETTINGS,
@@ -78,13 +79,14 @@ _T_PERM = (1, 2, 4, 3)  # tau -> tau + k swaps indices 3 and 4 for odd k
 _S_PERM = (1, 4, 3, 2)  # tau -> -1/tau swaps indices 2 and 4
 
 
-@dataclass(frozen=True)
-class ThetaTransformRecord:
+class ThetaTransformRecord(NamedTuple):
     """theta_r(u|tau) = exp(log_multiplier) * theta_{index_map[r-1]}(new_u|new_tau).
 
     The log multiplier is specific to the index the record was built
     for; the permutation is the full index map of the move.  Records
-    compose by permutation composition and multiplier addition.
+    compose by permutation composition and multiplier addition.  A
+    named tuple, immutable and cheap to build: full_reduction makes one
+    per call.
     """
 
     index_map: tuple[int, int, int, int]
@@ -209,6 +211,19 @@ def apply_modular_step(
     return ThetaTransformRecord(token[3], mu, new_u, new_tau)
 
 
+def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
+    """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier."""
+    m = round(u.imag / tv.imag)
+    u1 = u - m * tv
+    n = round(u1.real)
+    u0 = u1 - n
+    negate = ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4))
+    mu = -1j * PI * (2 * m * u0 + m * m * tv)
+    if negate:
+        mu += 1j * PI
+    return u0, n, m, mu
+
+
 def reduce_u(
     r: int, u: complex, tau: ModularParameter
 ) -> tuple[LatticeDecomposition, ThetaTransformRecord]:
@@ -219,18 +234,8 @@ def reduce_u(
     to exp(-pi*i*(2*m*u0 + m^2*tau)) for an m-fold shift.
     """
     _check_index(r)
-    u = complex(u)
-    tv = tau.tau
-    m = round(u.imag / tv.imag)
-    u1 = u - m * tv
-    n = round(u1.real)
-    u0 = u1 - n
-    negate = ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4))
-    mu = -1j * PI * (2 * m * u0 + m * m * tv)
-    if negate:
-        mu += 1j * PI
-    record = ThetaTransformRecord(_IDENT_PERM, mu, u0, tau)
-    return LatticeDecomposition(u0, n, m), record
+    u0, n, m, mu = _cell(r, complex(u), tau.tau)
+    return LatticeDecomposition(u0, n, m), ThetaTransformRecord(_IDENT_PERM, mu, u0, tau)
 
 
 _HP_PERM = {
@@ -290,8 +295,8 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     _check_index(r)
     tokens, end, index_map = _tau_path(tau, math.copysign(1.0, tau.tau.real))
     mu, r, u = _walk(tokens, r, complex(u))
-    _, cell = reduce_u(r, u, end)
-    return ThetaTransformRecord(index_map, mu + cell.log_multiplier, cell.new_u, end)
+    u0, _, _, mu_cell = _cell(r, u, end.tau)
+    return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
 
 
 def eval_reduced(

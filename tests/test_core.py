@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -29,7 +32,10 @@ from thetakit import (
     theta_product,
     truncation_index,
 )
+import thetakit
+import thetakit.core as core
 from thetakit.core import cexp
+from thetakit.reduction import eval_reduced, full_reduction
 
 # frozen 50-term direct-summation value, computed before the build
 THETA3_AT_I = 1.0864348112133082
@@ -92,6 +98,22 @@ class TestTruncationIndex:
         wide = truncation_index(tau, 0.9j, 0.0, 1e-15, 100000)
         assert wide > base + 10
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-15])
+    def test_rejects_non_finite_or_non_positive_tol(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            truncation_index(ModularParameter(1j), 0.3, 0.0, tol)
+
+    def test_huge_tol_at_huge_peak_still_gives_a_window(self):
+        # peak ~ pi*|Im u|^2/Im tau ~ 708.8, so tol * exp(peak) overflows;
+        # the window target is clamped to the largest double instead
+        tau = ModularParameter(1j)
+        u = 15.02j
+        settings = EvalSettings(tol=10.0)
+        assert 10.0 * math.exp(core._peak_log(1.0, u.imag, 0.0)) == math.inf
+        n = core._window(tau, u, 0.0, settings)
+        assert n == truncation_index(tau, u, 0.0, sys.float_info.max)
+        assert isinstance(theta(3, u, tau, settings), complex)
+
     def test_majorant_actually_bounds_the_tail(self, rng):
         for _ in range(25):
             tau = random_tau(rng, im=(0.2, 2.0))
@@ -104,6 +126,106 @@ class TestTruncationIndex:
                 for k in list(range(n, n + 400)) + list(range(-n, -n - 400, -1))
             )
             assert tail < 1e-14
+
+
+class TestFixedWindowKernel:
+    """The reduced-cell window N and the peak-centred term recurrence."""
+
+    CORNER = math.sqrt(3.0) / 2.0  # Im tau at the cell's worst corner
+
+    def test_fixed_n_is_the_corner_window(self):
+        t = self.CORNER
+        tau = ModularParameter(complex(0.5, t))
+        for a in (0.0, 0.5):
+            assert truncation_index(tau, complex(0.3, t / 2), a, 1e-18) == core.N
+        # no other a0, and no point deeper in the cell, needs more
+        for a in [i / 20 for i in range(-10, 11)]:
+            for im_tau in (t, 1.0, 1.5, 3.0, 10.0):
+                deeper = ModularParameter(complex(0.0, im_tau))
+                assert truncation_index(deeper, 0.5j * im_tau, a, 1e-18) <= core.N
+
+    def test_window_is_fixed_only_where_proven(self):
+        t = self.CORNER
+        tau = ModularParameter(complex(-0.5, t))
+        u = complex(0.1, -t / 2)
+        assert core._window(tau, u, 0.5, EvalSettings(tol=1e-18)) == core.N
+        assert core._window(tau, u, 0.5, EvalSettings(tol=1e-15, max_terms=5)) == core.N
+        # a tighter tol, |Im u| past the cell or a lower tau searches
+        searched = [
+            (tau, u, EvalSettings(tol=1e-19)),
+            (tau, u * 1.01, EvalSettings()),
+            (ModularParameter(0.5 + 0.8j), 0.3 + 0.1j, EvalSettings()),
+        ]
+        for point, arg, settings in searched:
+            peak = core._peak_log(point.tau.imag, arg.imag, 0.5)
+            target = settings.tol * max(1.0, math.exp(peak))
+            want = truncation_index(point, arg, 0.5, target, settings.max_terms)
+            assert core._window(point, arg, 0.5, settings) == want
+        # so does a cap below N, which the corner needs in full
+        with pytest.raises(TruncationError):
+            core._window(tau, u, 0.5, EvalSettings(max_terms=core.N - 1))
+
+    def test_recurrence_matches_series_oracle_at_reduced_points(self, rng):
+        for _ in range(40):
+            tau = random_tau(rng, im=(self.CORNER, 2.0))
+            if abs(tau.tau) < 1.0:
+                continue
+            u = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * tau.tau.imag)
+            for r in (1, 2, 3, 4):
+                got = theta(r, u, tau)
+                want = theta_series(r, u, tau.tau, n=core.N)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (r, u, tau)
+
+    def test_recurrence_matches_series_oracle_at_unreduced_points(self, rng):
+        # windows of 6..64 terms.  A term k steps from the peak carries
+        # about k^2 roundings in the recurrence and k^2*|tau| ulps of phase
+        # in the oracle, so both agree to 4*n^2 ulps of the peak term
+        eps = 2.220446049250313e-16
+        for _ in range(40):
+            tau = random_tau(rng, im=(0.05, 0.8))
+            u = random_point(rng)
+            for r in (1, 2, 3, 4):
+                a0 = 0.5 if r in (1, 2) else 0.0
+                n = core._window(tau, u, a0, core.DEFAULT_SETTINGS)
+                assert n <= core._VECTOR_CUTOFF
+                peak = math.exp(core._peak_log(tau.tau.imag, u.imag, a0))
+                got = theta(r, u, tau)
+                want = theta_series(r, u, tau.tau, n=n)
+                assert abs(got - want) <= 4 * n * n * eps * max(1.0, peak), (r, u, tau)
+
+    def test_reduced_im_tau_1000_finite_or_infinite_never_nan(self):
+        # tau = 1e-3i reduces by one S step to Im tau' = 1000, where q^2
+        # and every ratio underflow to 0
+        tau = ModularParameter(1e-3j)
+        for r in (1, 2, 3, 4):
+            for u in (0.3 + 0.1j, -0.45 + 0.2j):
+                record = full_reduction(r, u, tau)
+                assert record.new_tau.tau.imag == pytest.approx(1000.0)
+                r_new, u_new = record.map_index(r), record.new_u
+                reduced = theta(r_new, u_new, record.new_tau)
+                # the combined-exponent oracle: separate factors overflow here
+                a, b, prefactor = core.INDEX_CHARACTERISTICS[r_new]
+                want = prefactor * theta_char_series(a, b, u_new, record.new_tau.tau, n=core.N)
+                assert reduced == pytest.approx(want, rel=1e-14)
+                value = eval_reduced(r, u, tau)
+                assert cmath.isfinite(value) and value != 0
+        # at the cell edge |Im u| = Im tau/2 the peak term of theta_1,
+        # theta_2 (x = -1/2) is exp(pi*1000/4): it saturates, the rest is finite
+        far = ModularParameter(1000j)
+        for sign in (1.0, -1.0):
+            for r in (1, 2):
+                value = theta(r, sign * 500j, far)
+                assert cmath.isinf(value) and not cmath.isnan(value), (r, value)
+            for r in (3, 4):
+                assert cmath.isfinite(theta(r, sign * 500j, far))
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported only by _series' wide-window branch
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thetakit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, thetakit.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestThetaChar:

@@ -289,18 +289,18 @@ def test_residual_formula_on_pure_constants():
 # compiled plan must reproduce the per-factor evaluation exactly
 UNREDUCED_RESIDUALS = {
     "W.I.r1": [
-        (1.3124799524722959e-11, 1.057032683370261e-15),
-        (2.1645329030274947e-13, 6.192530133415895e-16),
-        (1.2008898127460164e-15, 4.2379521526891576e-16),
+        (1.2014283869232628e-11, 9.675950244531499e-16),
+        (3.1720779653525304e-13, 9.07502415810614e-16),
+        (7.021666937153402e-16, 2.477953280637009e-16),
     ],
     "B.I.2": [
-        (5.551115123125783e-17, 1.5041826842080943e-17),
-        (2.9504581591051765e-16, 2.2293359519373e-16),
-        (4.518280359883027e-16, 1.0136338674066965e-16),
+        (2.482534153247273e-16, 6.726909464934796e-17),
+        (3.787898901196402e-16, 2.8620975954805623e-16),
+        (9.155133597044475e-16, 2.0538684489329517e-16),
     ],
     "TC.tc1": [
         (4.449557262054371e-16, 1.0148635732358847e-16),
-        (6.713178136967714e-16, 2.3406928733437264e-16),
+        (5.551115123125783e-17, 1.935514795333606e-17),
         (2.237726045655905e-16, 7.590882759049675e-17),
     ],
 }

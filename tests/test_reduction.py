@@ -290,7 +290,7 @@ class TestEvalReduced:
     @pytest.mark.parametrize(
         "r,u,tau,value",
         [
-            (1, 0.3 + 0.2j, 0.1 + 1.2j, 0.7314980853248862 + 0.36642544915182523j),
+            (1, 0.3 + 0.2j, 0.1 + 1.2j, 0.7314980853248862 + 0.3664254491518253j),
             (2, -0.7 + 1.1j, 0.31 + 0.04j, -4.100281274234863e41 - 7.657606867897449e40j),
             (3, 1.3 - 0.4j, 0.5 + 1e-3j, 8.397160715193054e164 - 8.397160715669492e164j),
             (4, 2.1 + 0.9j, 321.7 + 0.02j, 1.1039758380549651e55 + 4.23791249660557e55j),
