@@ -240,16 +240,24 @@ def _window(tau: ModularParameter, u: complex, a: float, settings: EvalSettings)
     return truncation_index(tau, u, a, eff_tol, settings.max_terms)
 
 
-def _series(n: int, a0: float, v: complex, tv: complex, alternating: bool) -> complex:
+def _nome_sq(tv: complex) -> complex:
+    """q^2 = exp(2*pi*i*tv), the last factor of _series' term recurrence."""
+    return cmath.exp(2.0 * (1j * PI) * tv)
+
+
+def _series(
+    n: int, a0: float, v: complex, tv: complex, alternating: bool, q2: complex
+) -> complex:
     """sum_{|k|<=n} (+-1)^k exp(pi*i*(tv*x^2 + 2*x*v)), x = k + a0.
 
-    The one summation behind theta and theta_char.  alternating puts in
+    The one summation behind every theta value.  alternating puts in
     the exact sign (-1)^k of a half-integer b.  Up to _VECTOR_CUTOFF the
     sum starts at the discrete peak k0 = round(-Im v/Im tv - a0), clamped
     to the window, and walks outward by the term recurrence
     term *= ratio, ratio *= q^2: the step from x to x + 1 is
     exp(pi*i*(tv*(2x+1) + 2v)), and each further step multiplies it by
-    q^2 = exp(2*pi*i*tv).  That takes 4 exponentials instead of 2n + 1.
+    q2 = _nome_sq(tv), which the caller passes in so that a reduced tau
+    pays for it once.  That takes 3 exponentials, and q2, instead of 2n + 1.
     The term modulus is a Gaussian in x whose centre lies within 1/2 of
     x0 (or past the window edge that k0 was clamped to), so every step
     leads away from the centre, every ratio has modulus <= 1 and no
@@ -266,8 +274,7 @@ def _series(n: int, a0: float, v: complex, tv: complex, alternating: bool) -> co
             peak = -peak
         if not cmath.isfinite(peak):
             return peak
-        # |q^2| < 1 and |ratio| <= 1: cmath.exp cannot overflow on these
-        q2 = cmath.exp(2.0 * ipi * tv)
+        # |ratio| <= 1: cmath.exp cannot overflow on it
         s = 0j
         for steps, step_expo in (
             (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
@@ -300,13 +307,32 @@ def theta_char(
     tau: ModularParameter,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> complex:
-    """theta_{a,b}(u|tau) by certified series summation.
+    """theta_{a,b}(u|tau) through the reduced theta_3, by the exact shift
 
-    As for theta, the certified error is absolute: tol * max(1, peak term).
+        theta_{a,b}(u|tau) = exp(pi*i*tau*a0^2 + 2*pi*i*a0*(u + b))
+                             * theta_3(u + b0 + a0*tau | tau),
+
+    a0 = a - round(a), b0 = b - round(b).  theta_3 goes through
+    reduction.eval_reduced's route and the prefactor joins its log
+    multiplier before the one exponential, so the accuracy is relative,
+    as for eval_reduced, not the absolute tol * max(1, peak term) of a
+    direct sum, and it holds at every valid tau.
     """
+    from . import reduction  # reduction imports this module
+
     u = complex(u)
-    n = _window(tau, u, chars.a, settings)
-    return _series(n, chars.a - round(chars.a), u + chars.b, tau.tau, False)
+    tv = tau.tau
+    a0 = chars.a - round(chars.a)
+    w = u + (chars.b - round(chars.b)) + a0 * tv
+    w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
+    value, mu = reduction._reduced(3, w, tau, settings)
+    return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
+
+
+def _theta_sum(r: int, n: int, u: complex, tv: complex, q2: complex) -> complex:
+    """theta_r(u|tv) summed over the window |k| <= n, q2 = _nome_sq(tv)."""
+    s = _series(n, 0.5 if r in (1, 2) else 0.0, u, tv, r in (1, 4), q2)
+    return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
 
 
 def theta(
@@ -325,10 +351,9 @@ def theta(
     """
     _check_index(r)
     u = complex(u)
-    shift = 0.5 if r in (1, 2) else 0.0
-    n = _window(tau, u, shift, settings)
-    s = _series(n, shift, u, tau.tau, r in (1, 4))
-    return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
+    tv = tau.tau
+    n = _window(tau, u, 0.5 if r in (1, 2) else 0.0, settings)
+    return _theta_sum(r, n, u, tv, _nome_sq(tv))
 
 
 def theta_product(
@@ -351,10 +376,16 @@ def theta_product(
     sign = -1.0 if r in (1, 4) else 1.0
     odd_exponent = r in (3, 4)  # q^{2n-1} in the u-dependent factors
 
-    if r == 1:
-        p = 2.0 * cexp(1j * PI * tv / 4.0) * cmath.sin(PI * u)
-    elif r == 2:
-        p = 2.0 * cexp(1j * PI * tv / 4.0) * cmath.cos(PI * u)
+    if r in (1, 2):
+        # 2*q^(1/4)*sin(pi*u) and 2*q^(1/4)*cos(pi*u) as two exponentials
+        # each: sin and cos alone overflow once |Im u| passes ~225
+        up = cexp(1j * PI * (tv / 4.0 + u))
+        down = cexp(1j * PI * (tv / 4.0 - u))
+        if r == 1:
+            p = up - down
+            p = complex(p.imag, -p.real)  # -i*p with no inf*0 = nan
+        else:
+            p = up + down
     else:
         p = 1.0 + 0j
 

@@ -32,7 +32,8 @@ from ..core import (
     theta,
     theta1_prime0,
 )
-from ..reduction import HalfPeriod, eval_reduced, full_reduction, half_period_shift
+from ..reduction import HalfPeriod, eval_reduced, half_period_shift, _path, _reduced_theta
+from ..reduction import full_reduction  # noqa: F401  unused; perfbench's layer tracer wraps it here
 from .catalog import catalog_by_id
 from .dsl import DTHETA1, GAUSS4, PI_CONST, Identity, ThetaFactor
 
@@ -123,11 +124,9 @@ def bracket_product(
     return value
 
 
-def _theta_scaled(r: int, u: complex, tau: ModularParameter) -> tuple[complex, float]:
-    """theta_r(u|tau) as (mantissa, log_scale) via full reduction."""
-    record = full_reduction(r, u, tau)
-    value = theta(record.map_index(r), record.new_u, record.new_tau)
-    mu = record.log_multiplier
+def _theta_scaled(r: int, u: complex, path: tuple) -> tuple[complex, float]:
+    """theta_r(u|tau) as (mantissa, log_scale) via full reduction, path = _path(tau)."""
+    value, mu = _reduced_theta(r, u, path)
     return value * cexp(1j * mu.imag), mu.real
 
 
@@ -172,6 +171,7 @@ def _factor_values(
 ) -> Iterator[tuple[complex, float]]:
     """Every unique factor of the plan as (mantissa, log_scale)."""
     bases = (binding.tau, binding.tau.scaled(2) if plan.doubled else None)
+    paths = [None, None]  # each base's reduction path, looked up on first use
     values = [binding.values[name] for name in plan.variables]
     for kind, slot, const, coeffs, offset, half in plan.factors:
         base = bases[slot]
@@ -187,17 +187,21 @@ def _factor_values(
                 w += c * values[i]
             if not use_reduction:
                 yield theta(kind, w + offset * base.tau, base), 0.0
-            elif half:
+                continue
+            path = paths[slot]
+            if path is None:
+                path = paths[slot] = _path(base)
+            if half:
                 # route the half-period part through the shift table:
                 # better accuracy than summing on the Im cell boundary
                 point = w + (offset - 0.5) * base.tau
                 record = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base)
                 inner = record.map_index(kind)
-                mantissa, scale = _theta_scaled(inner, point, base)
+                mantissa, scale = _theta_scaled(inner, point, path)
                 mu = record.log_multiplier
                 yield mantissa * cexp(1j * mu.imag), scale + mu.real
             else:
-                yield _theta_scaled(kind, w + offset * base.tau, base)
+                yield _theta_scaled(kind, w + offset * base.tau, path)
 
 
 @dataclass

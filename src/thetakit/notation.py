@@ -19,9 +19,9 @@ from .core import (
     EvalSettings,
     ModularParameter,
     cexp,
-    theta,
     theta_char,
 )
+from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
 from .reduction import eval_reduced
 
 __all__ = [
@@ -43,7 +43,8 @@ class EllipticK:
 def elliptic_k(
     tau: ModularParameter, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> EllipticK:
-    t3 = theta(3, 0.0, tau, settings)
+    """K = (pi/2)*theta_3(0|tau)^2 with the reduced theta_3, accurate next to cusps too."""
+    t3 = eval_reduced(3, 0.0, tau, settings)
     return EllipticK(0.5 * PI * t3 * t3)
 
 

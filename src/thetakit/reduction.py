@@ -27,13 +27,17 @@ from typing import NamedTuple
 
 from .core import (
     DEFAULT_SETTINGS,
+    N,
     PI,
     EvalSettings,
     ModularParameter,
     cexp,
     theta,
     theta_product,
+    _CELL_IM_TAU,
     _check_index,
+    _nome_sq,
+    _theta_sum,
 )
 
 __all__ = [
@@ -271,7 +275,8 @@ def half_period_shift(
 
 @lru_cache(maxsize=4096)
 def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
-    """The tokens of tau's word (see _token), its end parameter and index map.
+    """The tokens of tau's word (see _token), its end parameter, index map
+    and the end parameter's q^2 (see core._series).
 
     re_sign keeps Re tau = 0.0 and -0.0 apart: equal keys, different bits.
     """
@@ -283,7 +288,12 @@ def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
         tokens.append(_token(step, tv))
         index_map = tuple(tokens[-1][3][i - 1] for i in index_map)
         tv = apply_step_to_tau(step, tv)
-    return tuple(tokens), end, index_map
+    return tuple(tokens), end, index_map, _nome_sq(end.tau)
+
+
+def _path(tau: ModularParameter) -> tuple:
+    """The cached _tau_path of tau."""
+    return _tau_path(tau, math.copysign(1.0, tau.tau.real))
 
 
 def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformRecord:
@@ -293,10 +303,41 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     finishing with reduce_u; the tau-only part of the word is cached.
     """
     _check_index(r)
-    tokens, end, index_map = _tau_path(tau, math.copysign(1.0, tau.tau.real))
+    tokens, end, index_map, _ = _path(tau)
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
     return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
+
+
+def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
+    """(value at the reduced point, log multiplier) of theta_r(u|tau), path = _path(tau).
+
+    The reduced value is bit-equal to theta(record.map_index(r),
+    record.new_u, record.new_tau) and the multiplier to
+    record.log_multiplier, record = full_reduction(r, u, tau); only the
+    lookups, the record and the window check are skipped.  Where
+    rounding puts the reduced point outside the cell of the fixed
+    window, theta searches the window as usual.
+    """
+    tokens, end, _, q2 = path
+    mu, r, u = _walk(tokens, r, complex(u))
+    tv = end.tau
+    u0, _, _, mu_cell = _cell(r, u, tv)
+    if tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag:
+        return _theta_sum(r, N, u0, tv, q2), mu + mu_cell
+    return theta(r, u0, end), mu + mu_cell
+
+
+def _reduced(
+    r: int, u: complex, tau: ModularParameter, settings: EvalSettings
+) -> tuple[complex, complex]:
+    """_reduced_theta at the default settings, else full_reduction and
+    theta at the given ones."""
+    if settings is DEFAULT_SETTINGS:
+        return _reduced_theta(r, u, _path(tau))
+    record = full_reduction(r, u, tau)
+    value = theta(record.map_index(r), record.new_u, record.new_tau, settings)
+    return value, record.log_multiplier
 
 
 def eval_reduced(
@@ -312,9 +353,9 @@ def eval_reduced(
     The returned value itself can still overflow the double range for
     extreme arguments; use full_reduction directly to stay in log form.
     """
-    record = full_reduction(r, u, tau)
-    value = theta(record.map_index(r), record.new_u, record.new_tau, settings)
-    return record.multiplier() * value
+    _check_index(r)
+    value, mu = _reduced(r, u, tau, settings)
+    return cexp(mu) * value
 
 
 def eval_reduced_product(

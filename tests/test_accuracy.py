@@ -1,4 +1,4 @@
-"""Accuracy audit of eval_reduced and the series kernel against mpmath.
+"""Accuracy audit of eval_reduced, theta_char, elliptic_k and the series kernel against mpmath.
 
 The reference is the defining series
 
@@ -26,6 +26,22 @@ kernel, whose mean error is no larger in any regime:
 "reduced cell" calls theta directly at points inside the fast-convergence
 cell (Im tau >= sqrt(3)/2, |Im u| <= Im tau/2), where the kernel's fixed
 window applies; every other regime calls eval_reduced.
+
+theta_char (a, b uniform in [-1, 1]) and elliptic_k are audited over the
+same regimes, with their own seeded points.  Both now go through the
+reduced theta_3; before, both summed the raw series, whose absolute
+certificate kept no relative accuracy next to a cusp.  The bounds in
+ROUTE_BOUNDS are the reduced routes' worst errors rounded up to one
+significant digit:
+
+                  theta_char              elliptic_k
+    regime        raw sum    reduced      raw sum    reduced
+    default       2.76e-15   1.98e-15     3.16e-16   7.73e-16
+    stress        1.10e-08   3.74e-14     4.35e-13   1.05e-13
+    large |Im u|  1.52e-13   1.88e-13     3.61e-16   7.15e-16
+    large Re tau  5.89e-13   3.62e-13     2.22e-13   9.55e-16
+    near cusp     5.45e+73   7.21e-13     1.44e+252  1.96e-13
+    reduced cell  1.76e-15   1.42e-15     4.14e-16   4.14e-16
 """
 
 from __future__ import annotations
@@ -38,7 +54,15 @@ import sys
 import mpmath
 import pytest
 
-from thetakit import ModularParameter, eval_reduced, theta
+from thetakit import (
+    Characteristics,
+    ModularParameter,
+    big_theta,
+    elliptic_k,
+    eval_reduced,
+    theta,
+    theta_char,
+)
 
 # theta_r = sign * theta_{a,b}
 _CHARS = {1: (0.5, 0.5, -1), 2: (0.5, 0.0, 1), 3: (0.0, 0.0, 1), 4: (0.0, 0.5, 1)}
@@ -72,8 +96,7 @@ def _series(a: float, b: float, u: mpmath.mpc, tau: mpmath.mpc):
     return total, 10 * count * mags * mpmath.mpf(10) ** -mpmath.mp.dps
 
 
-def reference(r: int, u: complex, tau: complex) -> mpmath.mpc:
-    a, b, sign = _CHARS[r]
+def reference_char(a: float, b: float, u, tau: complex, sign: int = 1) -> mpmath.mpc:
     dps = 50
     while dps <= 3200:
         with mpmath.workdps(dps):
@@ -82,6 +105,18 @@ def reference(r: int, u: complex, tau: complex) -> mpmath.mpc:
                 return sign * value
         dps *= 2
     raise AssertionError(f"oracle did not converge at ({u!r}, {tau!r})")
+
+
+def reference(r: int, u, tau: complex) -> mpmath.mpc:
+    a, b, sign = _CHARS[r]
+    return reference_char(a, b, u, tau, sign)
+
+
+def reference_k(tau: complex) -> mpmath.mpc:
+    """K = (pi/2)*theta_3(0|tau)^2."""
+    t3 = reference(3, 0j, tau)
+    with mpmath.workdps(50):
+        return mpmath.pi / 2 * t3 * t3
 
 
 def rel_error(value: complex, ref: mpmath.mpc) -> float:
@@ -150,21 +185,80 @@ REGIMES = {
 }
 
 
-def worst_error(regime: str) -> float:
+# worst relative error per regime of the two routes that now reduce theta_3
+ROUTE_BOUNDS = {
+    "theta_char": {
+        "default": 2e-15,
+        "stress": 4e-14,
+        "large-im-u": 2e-13,
+        "large-re-tau": 4e-13,
+        "near-cusp": 8e-13,
+        "reduced-cell": 2e-15,
+    },
+    "elliptic_k": {
+        "default": 8e-16,
+        "stress": 2e-13,
+        "large-im-u": 8e-16,
+        "large-re-tau": 1e-15,
+        "near-cusp": 2e-13,
+        "reduced-cell": 5e-16,
+    },
+}
+
+
+def worst_error(regime: str, kind: str = "theta") -> float:
+    """Worst relative error of theta/eval_reduced (as the regime says),
+    theta_char or elliptic_k over the regime's seeded points."""
     draw, evaluate, points, _ = REGIMES[regime]
-    rng = random.Random(f"accuracy:{regime}")
+    rng = random.Random(f"accuracy:{regime}" if kind == "theta" else f"accuracy:{kind}:{regime}")
     worst = 0.0
     for i in range(points):
         u, tau = draw(rng)
-        r = 1 + i % 4
-        value = evaluate(r, u, ModularParameter(tau))
-        worst = max(worst, rel_error(value, reference(r, u, tau)))
+        param = ModularParameter(tau)
+        if kind == "theta":
+            r = 1 + i % 4
+            value, ref = evaluate(r, u, param), reference(r, u, tau)
+        elif kind == "theta_char":
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            value, ref = theta_char(Characteristics(a, b), u, param), reference_char(a, b, u, tau)
+        else:
+            value, ref = elliptic_k(param).K, reference_k(tau)
+        worst = max(worst, rel_error(value, ref))
     return worst
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_relative_error_within_regime_bound(regime):
     assert worst_error(regime) <= REGIMES[regime][3]
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("kind", sorted(ROUTE_BOUNDS))
+def test_reduced_route_within_regime_bound(kind, regime):
+    assert worst_error(regime, kind) <= ROUTE_BOUNDS[kind][regime]
+
+
+# tau within 0.003 of the cusp at 3, where theta_char and elliptic_k (so
+# big_theta), summed unreduced, lost most digits; the inputs of the
+# benchmark's theta_char-near-cusp and big_theta-near-cusp reproducers
+_CUSP3_TAU = 3.0018367432856192 + 0.031053782166193693j
+
+
+def test_theta_char_next_to_cusp():
+    a, b = 0.376154082472277, 0.7368550688760849
+    u = -3.791510987973249 - 0.028242197888011137j
+    value = theta_char(Characteristics(a, b), u, ModularParameter(_CUSP3_TAU))
+    # 1.3e-08 from the raw sum
+    assert rel_error(value, reference_char(a, b, u, _CUSP3_TAU)) <= 5e-15
+
+
+def test_big_theta_next_to_cusp():
+    u = 2.674817403570951e-19 + 6.193099964217826e-20j
+    value = big_theta(1, u, ModularParameter(_CUSP3_TAU))
+    with mpmath.workdps(50):
+        arg = mpmath.mpc(u) / (2 * reference_k(_CUSP3_TAU))
+    # 6.2e-04 with K from the raw sum
+    assert rel_error(value, reference(1, arg, _CUSP3_TAU)) <= 2e-12
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

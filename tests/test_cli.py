@@ -98,11 +98,29 @@ class TestEval:
         assert float(difference.split()[1]) < 1e-11
 
     def test_truncation_exhaustion_exits_with_failure(self, capsys):
-        code = main(["eval", "--char", "0,0", "--u", "0.3", "--tau", "0.0001i", "--max-terms", "10"])
+        # the reduced point needs more than one term even at tau = i
+        code = main(["eval", "--char", "0,0", "--u", "0.3+0.5i", "--tau", "1i", "--max-terms", "1"])
         captured = capsys.readouterr()
         assert code == EXIT_VERIFY_FAIL
         assert captured.out == ""
         assert "evaluation failed" in captured.err
+
+    def test_characteristic_at_tiny_im_tau_reduces_first(self, capsys):
+        # a direct sum exhausted 10 terms here; the reduced theta_3 needs a handful
+        argv = ["--u", "0.3", "--tau", "0.0001i", "--max-terms", "10"]
+        assert main(["eval", "--char", "0,0", *argv]) == EXIT_OK
+        char_out = capsys.readouterr().out
+        assert main(["eval", "--r", "3", *argv]) == EXIT_OK
+        assert char_out == capsys.readouterr().out
+
+    def test_product_with_large_reduced_im_u(self, capsys):
+        # the reduced point is u' = -300i at Im tau' = 1000, where sin(pi*u') overflows
+        code = main(["eval", "--r", "1", "--u", "0.3+0.1i", "--tau", "0.001i", "--product", "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert out_complex(payload["product"]) == pytest.approx(
+            out_complex(payload["series"]), rel=1e-12
+        )
 
     def test_three_characteristics_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

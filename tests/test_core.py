@@ -253,6 +253,9 @@ class TestThetaChar:
         got = theta_char(Characteristics(0.0, 0.0), 0.125, tau, settings)
         want = theta_char_series(0.0, 0.0, 0.125, tau.tau, n=200)
         assert got == pytest.approx(want, rel=1e-10)
+        # theta_char reduces first; the plain numpy branch is theta's direct sum
+        assert core._window(tau, 0.125 + 0j, 0.0, settings) > core._VECTOR_CUTOFF
+        assert theta(3, 0.125, tau, settings) == pytest.approx(want, rel=1e-10)
         # r = 1, 4 take the alternating-sign numpy branch; at u + 1/2 they
         # are as large as theta_2, theta_3 at u, not exponentially small
         for r in (1, 2, 3, 4):

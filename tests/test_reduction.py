@@ -322,14 +322,14 @@ class TestEvalReduced:
         assert slow is not None and not slow.trustworthy()
         assert abs(value) < 1e-12 * slow.abs_sum
         # on the imaginary axis with Re tau = 0 the direct terms are all
-        # positive, so the wide-window characteristic sum is a valid slow
-        # oracle (hundreds of terms where the reduced path needs a handful)
-        from thetakit import Characteristics, EvalSettings, theta_char
+        # positive, so the wide-window direct sum is a valid slow oracle
+        # (hundreds of terms where the reduced path needs a handful)
+        from thetakit import EvalSettings
 
         upright = ModularParameter(0.002j)
         wide = EvalSettings(max_terms=100000)
         got = eval_reduced(3, 0.3j, upright)
-        want = theta_char(Characteristics(0.0, 0.0), 0.3j, upright, wide)
+        want = theta(3, 0.3j, upright, wide)
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_matches_trustworthy_direct_summation(self, rng):
@@ -360,6 +360,14 @@ class TestEvalReduced:
             a = eval_reduced(r, u, tau)
             b = eval_reduced_product(r, u, tau)
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_product_route_at_large_reduced_im_u(self, r):
+        # u' = -300i at Im tau' = 1000: sin(pi*u') and cos(pi*u') alone overflow
+        tau = ModularParameter(1e-3j)
+        a = eval_reduced(r, 0.3 + 0.1j, tau)
+        b = eval_reduced_product(r, 0.3 + 0.1j, tau)
+        assert a != 0 and abs(a - b) <= 1e-12 * abs(a)
 
 
 class TestZeros:
