@@ -58,6 +58,10 @@ N = 5
 _CELL_IM_TAU = math.sqrt(3.0) / 2.0
 _FIXED_TOL = 1e-18
 
+# theta_product forms sin(pi*u) and cos(pi*u) directly below this |Im u|
+# (accurate near their zeros) and as saturating exponentials above it.
+_TRIG_IM_U = 200.0
+
 
 class TruncationError(ArithmeticError):
     """No admissible truncation index exists under the term cap.
@@ -325,13 +329,17 @@ def theta_char(
     a0 = chars.a - round(chars.a)
     w = u + (chars.b - round(chars.b)) + a0 * tv
     w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
-    value, mu = reduction._reduced(3, w, tau, settings)
+    value, mu = reduction._reduced_theta(3, w, reduction._path(tau), settings)
     return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
 
 
-def _theta_sum(r: int, n: int, u: complex, tv: complex, q2: complex) -> complex:
-    """theta_r(u|tv) summed over the window |k| <= n, q2 = _nome_sq(tv)."""
-    s = _series(n, 0.5 if r in (1, 2) else 0.0, u, tv, r in (1, 4), q2)
+def _theta_sum(
+    r: int, u: complex, tau: ModularParameter, settings: EvalSettings, q2: complex
+) -> complex:
+    """theta(r, u, tau, settings) for a complex u, q2 = _nome_sq(tau.tau)."""
+    shift = 0.5 if r in (1, 2) else 0.0
+    n = _window(tau, u, shift, settings)
+    s = _series(n, shift, u, tau.tau, r in (1, 4), q2)
     return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
 
 
@@ -350,10 +358,7 @@ def theta(
     against mpmath there).
     """
     _check_index(r)
-    u = complex(u)
-    tv = tau.tau
-    n = _window(tau, u, 0.5 if r in (1, 2) else 0.0, settings)
-    return _theta_sum(r, n, u, tv, _nome_sq(tv))
+    return _theta_sum(r, complex(u), tau, settings, _nome_sq(tau.tau))
 
 
 def theta_product(
@@ -376,9 +381,13 @@ def theta_product(
     sign = -1.0 if r in (1, 4) else 1.0
     odd_exponent = r in (3, 4)  # q^{2n-1} in the u-dependent factors
 
-    if r in (1, 2):
+    if r in (1, 2) and y < _TRIG_IM_U:
+        trig = cmath.sin(PI * u) if r == 1 else cmath.cos(PI * u)
+        p = 2.0 * cexp(1j * PI * tv / 4.0) * trig
+    elif r in (1, 2):
         # 2*q^(1/4)*sin(pi*u) and 2*q^(1/4)*cos(pi*u) as two exponentials
-        # each: sin and cos alone overflow once |Im u| passes ~225
+        # each, since sin and cos overflow once |Im u| passes ~225.  Here
+        # one term outweighs the other by e^(2*pi*_TRIG_IM_U): no cancellation
         up = cexp(1j * PI * (tv / 4.0 + u))
         down = cexp(1j * PI * (tv / 4.0 - u))
         if r == 1:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..core import (
+    DEFAULT_SETTINGS,
     PI,
     ModularParameter,
     TruncationError,
@@ -126,7 +127,7 @@ def bracket_product(
 
 def _theta_scaled(r: int, u: complex, path: tuple) -> tuple[complex, float]:
     """theta_r(u|tau) as (mantissa, log_scale) via full reduction, path = _path(tau)."""
-    value, mu = _reduced_theta(r, u, path)
+    value, mu = _reduced_theta(r, u, path, DEFAULT_SETTINGS)
     return value * cexp(1j * mu.imag), mu.real
 
 

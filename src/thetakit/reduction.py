@@ -27,18 +27,16 @@ from typing import NamedTuple
 
 from .core import (
     DEFAULT_SETTINGS,
-    N,
     PI,
     EvalSettings,
     ModularParameter,
     cexp,
-    theta,
     theta_product,
-    _CELL_IM_TAU,
     _check_index,
     _nome_sq,
     _theta_sum,
 )
+from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
 
 __all__ = [
     "ModularStep",
@@ -309,35 +307,20 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
 
 
-def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
+def _reduced_theta(
+    r: int, u: complex, path: tuple, settings: EvalSettings
+) -> tuple[complex, complex]:
     """(value at the reduced point, log multiplier) of theta_r(u|tau), path = _path(tau).
 
-    The reduced value is bit-equal to theta(record.map_index(r),
-    record.new_u, record.new_tau) and the multiplier to
+    The value is bit-equal to theta(record.map_index(r), record.new_u,
+    record.new_tau, settings) and the multiplier to
     record.log_multiplier, record = full_reduction(r, u, tau); only the
-    lookups, the record and the window check are skipped.  Where
-    rounding puts the reduced point outside the cell of the fixed
-    window, theta searches the window as usual.
+    record and the cache key are skipped, and q^2 comes from the path.
     """
     tokens, end, _, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
-    tv = end.tau
-    u0, _, _, mu_cell = _cell(r, u, tv)
-    if tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag:
-        return _theta_sum(r, N, u0, tv, q2), mu + mu_cell
-    return theta(r, u0, end), mu + mu_cell
-
-
-def _reduced(
-    r: int, u: complex, tau: ModularParameter, settings: EvalSettings
-) -> tuple[complex, complex]:
-    """_reduced_theta at the default settings, else full_reduction and
-    theta at the given ones."""
-    if settings is DEFAULT_SETTINGS:
-        return _reduced_theta(r, u, _path(tau))
-    record = full_reduction(r, u, tau)
-    value = theta(record.map_index(r), record.new_u, record.new_tau, settings)
-    return value, record.log_multiplier
+    u0, _, _, mu_cell = _cell(r, u, end.tau)
+    return _theta_sum(r, u0, end, settings, q2), mu + mu_cell
 
 
 def eval_reduced(
@@ -354,7 +337,7 @@ def eval_reduced(
     extreme arguments; use full_reduction directly to stay in log form.
     """
     _check_index(r)
-    value, mu = _reduced(r, u, tau, settings)
+    value, mu = _reduced_theta(r, u, _path(tau), settings)
     return cexp(mu) * value
 
 

@@ -62,6 +62,7 @@ from thetakit import (
     eval_reduced,
     theta,
     theta_char,
+    theta_product,
 )
 
 # theta_r = sign * theta_{a,b}
@@ -259,6 +260,17 @@ def test_big_theta_next_to_cusp():
         arg = mpmath.mpc(u) / (2 * reference_k(_CUSP3_TAU))
     # 6.2e-04 with K from the raw sum
     assert rel_error(value, reference(1, arg, _CUSP3_TAU)) <= 2e-12
+
+
+@pytest.mark.parametrize("u", [1e-9, 1e-9 + 1e-9j, 1e-12j])
+def test_product_keeps_relative_accuracy_next_to_theta1_zero(u):
+    # theta_product is the independent check on theta, so it must keep
+    # its digits next to a zero.  As a difference of two exponentials,
+    # 2*q^(1/4)*sin(pi*u) would keep only 1e-16/|u| of them at Re tau != 0
+    # (1.6e-08 at u = 1e-9, 2.8e-05 at 1e-12i); sin gives 4.7e-16 at worst
+    for tau in (0.3 + 1.1j, -0.45 + 0.9j):
+        value = theta_product(1, u, ModularParameter(tau))
+        assert rel_error(value, reference(1, u, tau)) <= 5e-16
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
