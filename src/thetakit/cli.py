@@ -49,15 +49,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN_ID = 3
 
-# complex literal: A, Bi, or A+Bi with plain decimal parts (no exponents)
-_NUM = r"\d+(?:\.\d+)?"
+# complex literal: A, Bi, or A+Bi with decimal parts and optional exponents
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     rf"^(?:(?P<re>[+-]?{_NUM})(?:(?P<im>[+-]{_NUM})i)?|(?P<imonly>[+-]?{_NUM})i)$"
 )
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'A', 'Bi', or 'A+Bi' with decimal A, B; unicode minus allowed."""
+    """Parse 'A', 'Bi', or 'A+Bi' with decimal A, B (exponents allowed, as
+    format_complex prints them); unicode minus allowed."""
     cleaned = text.strip().replace("−", "-")
     m = _COMPLEX_RE.match(cleaned)
     if not m:
@@ -187,6 +188,8 @@ def _cmd_eval(args) -> int:
     except TruncationError as exc:
         print(f"thetakit: evaluation failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
+    except ValueError as exc:  # e.g. an Im(tau) too small to reduce
+        return _usage_error(str(exc))
     if args.json:
         print(json.dumps(out, sort_keys=True))
     else:
@@ -276,7 +279,10 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_reduce(args) -> int:
     tau = _modular(args.tau, "--tau")
-    reduced, word = reduce_tau(tau)
+    try:
+        reduced, word = reduce_tau(tau)
+    except ValueError as exc:
+        return _usage_error(f"--tau: {exc}")
     tokens = ("S" if k is ModularStep.S else "T" if k == 1 else f"T^{k}" for k in word)
     word_text = " ".join(tokens) if word else "(none)"
     print(f"word       {word_text}")

@@ -49,9 +49,6 @@ _TWO_PI = 2.0 * math.pi
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0
 
-# Window radius above which _series switches to vectorized summation.
-_VECTOR_CUTOFF = 64
-
 # Fixed window radius inside the reduced cell Im tau >= sqrt(3)/2,
 # |Im u| <= Im tau/2, proven for every tol >= _FIXED_TOL (see _window).
 N = 5
@@ -255,9 +252,9 @@ def _series(
     """sum_{|k|<=n} (+-1)^k exp(pi*i*(tv*x^2 + 2*x*v)), x = k + a0.
 
     The one summation behind every theta value.  alternating puts in
-    the exact sign (-1)^k of a half-integer b.  Up to _VECTOR_CUTOFF the
-    sum starts at the discrete peak k0 = round(-Im v/Im tv - a0), clamped
-    to the window, and walks outward by the term recurrence
+    the exact sign (-1)^k of a half-integer b.  The sum starts at the
+    discrete peak k0 = round(-Im v/Im tv - a0), clamped to the window,
+    and walks outward by the term recurrence
     term *= ratio, ratio *= q^2: the step from x to x + 1 is
     exp(pi*i*(tv*(2x+1) + 2v)), and each further step multiplies it by
     q2 = _nome_sq(tv), which the caller passes in so that a reduced tau
@@ -267,42 +264,32 @@ def _series(
     leads away from the centre, every ratio has modulus <= 1 and no
     partial term overflows.
     A saturated (non-finite) peak term is returned as it is, so the sum
-    never turns it into nan.  Wider windows are summed with numpy.
+    never turns it into nan.
     """
-    if n <= _VECTOR_CUTOFF:
-        ipi = 1j * PI
-        k0 = round(min(max(-v.imag / tv.imag - a0, -n), n))
-        x0 = k0 + a0
-        peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
-        if alternating and (k0 & 1):
-            peak = -peak
-        if not cmath.isfinite(peak):
-            return peak
-        # |ratio| <= 1: cmath.exp cannot overflow on it
-        s = 0j
-        for steps, step_expo in (
-            (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
-            (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
-        ):
-            if steps:
-                term = peak
-                ratio = cmath.exp(ipi * step_expo)
-                if alternating:
-                    ratio = -ratio
-                for _ in range(steps):
-                    term *= ratio
-                    ratio *= q2
-                    s += term
-        return peak + s
-    import numpy as np
-
-    k = np.arange(-n, n + 1, dtype=np.float64)
-    x = k + a0
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(1j * PI * (tv * x * x + 2.0 * x * v))
-        if alternating:
-            terms[(n + 1) % 2 :: 2] *= -1.0  # positions where k = i - n is odd
-        return complex(terms.sum())
+    ipi = 1j * PI
+    k0 = round(min(max(-v.imag / tv.imag - a0, -n), n))
+    x0 = k0 + a0
+    peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
+    if alternating and (k0 & 1):
+        peak = -peak
+    if not cmath.isfinite(peak):
+        return peak
+    # |ratio| <= 1: cmath.exp cannot overflow on it
+    s = 0j
+    for steps, step_expo in (
+        (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
+        (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
+    ):
+        if steps:
+            term = peak
+            ratio = cmath.exp(ipi * step_expo)
+            if alternating:
+                ratio = -ratio
+            for _ in range(steps):
+                term *= ratio
+                ratio *= q2
+                s += term
+    return peak + s
 
 
 def theta_char(

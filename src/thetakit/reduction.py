@@ -6,6 +6,8 @@ regime: tau into the classical fundamental domain |Re tau| <= 1/2,
 by generator moves T^k: tau -> tau+k and S: tau -> -1/tau, and u into the
 centred lattice cell |Re u0| <= 1/2, |Im u0| <= Im(tau)/2.  A translation
 run is one word token k, so reduction cost grows with the S steps only.
+_tau_path walks a new tau once, building the word's tokens and its end
+together; reduce_tau, full_reduction and the evaluators read that walk.
 
 A move, or a whole reduction, is a ThetaTransformRecord: an index
 permutation plus a log-form multiplier mu with
@@ -64,6 +66,8 @@ class ModularStep(str, Enum):
 
     S = "S"
 
+
+_S = ModularStep.S  # a global: far cheaper to read per token than the Enum attribute
 
 ModularWord = tuple[ModularStep | int, ...]
 
@@ -128,8 +132,8 @@ def identity_record(u: complex, tau: ModularParameter) -> ThetaTransformRecord:
 
 
 def apply_step_to_tau(step: ModularStep | int, tau: complex) -> complex:
-    """One word token on tau (shared by reduce_tau and the records)."""
-    if step is ModularStep.S:
+    """One word token on tau (shared by apply_word_to_tau and the records)."""
+    if step is _S:
         return -1.0 / tau
     return tau + step
 
@@ -146,44 +150,31 @@ def in_fundamental_domain(tau: complex, slack: float = 1e-12) -> bool:
 
 
 def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
-    """Generator word taking tau into the fundamental domain.
-
-    Boundary ties (|tau| = 1 or |Re tau| = 1/2) are accepted as-is;
-    uniqueness is not needed for evaluation.  Terminates because every
-    S step strictly increases Im(tau) while |tau| < 1.  Each T run is
-    one token -shift and one subtraction t - shift, which is exact: both
-    operands are multiples of ulp(Re t) and the result is at most 1/2.
-    """
-    t = tau.tau
-    word: list[ModularStep | int] = []
-    while True:
-        shift = round(t.real)
-        if shift:
-            t -= shift
-            word.append(-shift)
-        if abs(t) >= 1.0:
-            return ModularParameter(t), tuple(word)
-        t = apply_step_to_tau(ModularStep.S, t)
-        word.append(ModularStep.S)
+    """(end, word): the generator word taking tau into the fundamental
+    domain, read from _tau_path's cached walk (ValueError where -1/tau
+    overflows).  Boundary ties (|tau| = 1 or |Re tau| = 1/2) are
+    accepted as-is; uniqueness is not needed for evaluation."""
+    tokens, end, _ = _path(tau)
+    return end, tuple(token[0] for token in tokens)
 
 
 def _token(step: ModularStep | int, tv: complex) -> tuple:
-    """(is S, tau before the token, tau-only constant, index map).
+    """(step, tau before the token, tau-only constant, index map).
 
     The constant is -log(-i*tau)/2 for S (principal branch: -i*tau lies
     in the right half-plane) and the T^k phase of r in {1, 2}, k mod 8.
     """
-    if step is ModularStep.S:
-        return True, tv, -0.5 * cmath.log(-1j * tv), _S_PERM
+    if step is _S:
+        return step, tv, -0.5 * cmath.log(-1j * tv), _S_PERM
     perm = _T_PERM if step % 2 else _IDENT_PERM
-    return False, tv, -0.25j * PI * (((step + 4) % 8) - 4), perm
+    return step, tv, -0.25j * PI * (((step + 4) % 8) - 4), perm
 
 
 def _walk(tokens, r: int, u: complex) -> tuple[complex, int, complex]:
     """Log multiplier, index and argument after the tokens, from (r, u)."""
     mu = 0j
-    for is_s, tv, const, perm in tokens:
-        if is_s:
+    for step, tv, const, perm in tokens:
+        if step is _S:
             step_mu = const - 1j * PI * u * u / tv
             if r == 1:
                 step_mu += 0.5j * PI
@@ -273,20 +264,31 @@ def half_period_shift(
 
 @lru_cache(maxsize=4096)
 def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
-    """The tokens of tau's word (see _token), its end parameter, index map
-    and the end parameter's q^2 (see core._series).
+    """(tokens, end, q2): the one walk of tau into the fundamental domain.
 
-    re_sign keeps Re tau = 0.0 and -0.0 apart: equal keys, different bits.
+    Each translation run is one token T^-shift and one subtraction
+    t - shift, which is exact: both operands are multiples of ulp(Re t)
+    and the result is at most 1/2.  Each S step is one token and
+    t = -1/t.  The walk ends once |t| >= 1 and terminates because every
+    S step strictly increases Im(t) while |t| < 1.  The tokens are
+    _token's; q2 = _nome_sq(end.tau) (see core._series).  re_sign keeps
+    Re tau = 0.0 and -0.0 apart: equal keys, different bits.
     """
-    end, word = reduce_tau(tau)
+    t = tau.tau
     tokens = []
-    tv = tau.tau
-    index_map = _IDENT_PERM
-    for step in word:
-        tokens.append(_token(step, tv))
-        index_map = tuple(tokens[-1][3][i - 1] for i in index_map)
-        tv = apply_step_to_tau(step, tv)
-    return tuple(tokens), end, index_map, _nome_sq(end.tau)
+    while True:
+        shift = round(t.real)
+        if shift:
+            tokens.append(_token(-shift, t))
+            t -= shift
+        if abs(t) >= 1.0:
+            return tuple(tokens), ModularParameter(t), _nome_sq(t)
+        tokens.append(_token(_S, t))
+        t = -1.0 / t
+        if not cmath.isfinite(t):
+            raise ValueError(
+                f"Im(tau)={tau.tau.imag!r} is too small to reduce: -1/tau overflows"
+            )
 
 
 def _path(tau: ModularParameter) -> tuple:
@@ -301,7 +303,10 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     finishing with reduce_u; the tau-only part of the word is cached.
     """
     _check_index(r)
-    tokens, end, index_map, _ = _path(tau)
+    tokens, end, _ = _path(tau)
+    index_map = _IDENT_PERM
+    for token in tokens:
+        index_map = tuple(token[3][i - 1] for i in index_map)
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
     return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
@@ -317,7 +322,7 @@ def _reduced_theta(
     record.log_multiplier, record = full_reduction(r, u, tau); only the
     record and the cache key are skipped, and q^2 comes from the path.
     """
-    tokens, end, _, q2 = path
+    tokens, end, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
     return _theta_sum(r, u0, end, settings, q2), mu + mu_cell

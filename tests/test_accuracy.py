@@ -64,6 +64,7 @@ from thetakit import (
     theta_char,
     theta_product,
 )
+from thetakit import core
 
 # theta_r = sign * theta_{a,b}
 _CHARS = {1: (0.5, 0.5, -1), 2: (0.5, 0.0, 1), 3: (0.0, 0.0, 1), 4: (0.0, 0.5, 1)}
@@ -271,6 +272,28 @@ def test_product_keeps_relative_accuracy_next_to_theta1_zero(u):
     for tau in (0.3 + 1.1j, -0.45 + 0.9j):
         value = theta_product(1, u, ModularParameter(tau))
         assert rel_error(value, reference(1, u, tau)) <= 5e-16
+
+
+def test_direct_theta_on_windows_over_64_terms():
+    # theta summed unreduced at Im tau in [1e-3, 2.5e-3]: windows of 68 to
+    # 106 terms, all on the term recurrence.  The error is absolute, per
+    # theta's certificate, in units of max(1, peak term).  The bound is the
+    # worst of the earlier numpy sum on these points (1.26e-13) rounded up;
+    # the recurrence gives 7.7e-14
+    rng = random.Random("accuracy:wide-window")
+    worst = 0.0
+    for i in range(80):
+        tau = complex(rng.uniform(-0.5, 0.5), _log_uniform(rng, 1e-3, 2.5e-3))
+        u = rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * tau
+        r = 1 + i % 4
+        a0 = 0.5 if r in (1, 2) else 0.0
+        param = ModularParameter(tau)
+        assert core._window(param, u, a0, core.DEFAULT_SETTINGS) > 64
+        peak = math.exp(core._peak_log(tau.imag, u.imag, a0))
+        with mpmath.workdps(50):
+            error = abs(mpmath.mpc(theta(r, u, param)) - reference(r, u, tau))
+        worst = max(worst, float(error) / max(1.0, peak))
+    assert worst <= 2e-13
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

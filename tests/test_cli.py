@@ -33,18 +33,23 @@ class TestComplexLiterals:
             ("0.3+0.9i", 0.3 + 0.9j),
             ("-0.3-0.9i", -0.3 - 0.9j),
             ("−1i", -1j),
+            ("1e3", 1000 + 0j),
+            ("1e-3i", 1e-3j),
+            ("2.5E+2-1e-05i", 250 - 1e-5j),
         ],
     )
     def test_accepted(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "i", "1+i", "1x", "1e3", "0.3+0.9j", "1+2"])
+    @pytest.mark.parametrize(
+        "text", ["", "i", "1+i", "1x", "0.3+0.9j", "1+2", "1e", "e3", "1e+"]
+    )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
 
     def test_round_trip_through_formatter(self):
-        for z in (0.25 - 1.75j, 3 + 0j, -0.5j):
+        for z in (0.25 - 1.75j, 3 + 0j, -0.5j, 0.3 + 1e-5j, 1e300 - 2.5e-300j, 1e17 + 0j):
             assert parse_complex(format_complex(z)) == z
 
 
@@ -230,6 +235,15 @@ class TestZerosCommand:
 
 
 class TestReduceCommand:
+    @pytest.mark.parametrize("command", ["eval", "reduce"])
+    def test_tau_too_small_to_reduce_is_usage_error(self, command, capsys):
+        tau = "0." + "0" * 309 + "1i"  # 1e-310i: -1/tau overflows
+        extra = ["--r", "3", "--u", "0.1"] if command == "eval" else []
+        assert main([command, "--tau", tau, *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "too small to reduce: -1/tau overflows" in err
+        assert "Traceback" not in err
+
     def test_inversion_word(self, capsys):
         assert main(["reduce", "--tau", "0.5i"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -187,7 +187,7 @@ class TestFixedWindowKernel:
             for r in (1, 2, 3, 4):
                 a0 = 0.5 if r in (1, 2) else 0.0
                 n = core._window(tau, u, a0, core.DEFAULT_SETTINGS)
-                assert n <= core._VECTOR_CUTOFF
+                assert n <= 64
                 peak = math.exp(core._peak_log(tau.tau.imag, u.imag, a0))
                 got = theta(r, u, tau)
                 want = theta_series(r, u, tau.tau, n=n)
@@ -221,7 +221,7 @@ class TestFixedWindowKernel:
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported only by _series' wide-window branch
+    # thetakit imports no third-party package
     src = os.path.dirname(os.path.dirname(os.path.abspath(thetakit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, thetakit.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
@@ -253,10 +253,10 @@ class TestThetaChar:
         got = theta_char(Characteristics(0.0, 0.0), 0.125, tau, settings)
         want = theta_char_series(0.0, 0.0, 0.125, tau.tau, n=200)
         assert got == pytest.approx(want, rel=1e-10)
-        # theta_char reduces first; the plain numpy branch is theta's direct sum
-        assert core._window(tau, 0.125 + 0j, 0.0, settings) > core._VECTOR_CUTOFF
+        # theta_char reduces first; the wide window is theta's direct sum
+        assert core._window(tau, 0.125 + 0j, 0.0, settings) > 64
         assert theta(3, 0.125, tau, settings) == pytest.approx(want, rel=1e-10)
-        # r = 1, 4 take the alternating-sign numpy branch; at u + 1/2 they
+        # r = 1, 4 take the alternating-sign recurrence; at u + 1/2 they
         # are as large as theta_2, theta_3 at u, not exponentially small
         for r in (1, 2, 3, 4):
             u = 0.125 + (0.5 if r in (1, 4) else 0.0)

@@ -455,3 +455,35 @@ def test_cache_keeps_signed_zero_re_tau_apart():
             full_reduction(r, 0j, ModularParameter(complex(re_first, 0.5)))
             tau = ModularParameter(complex(re_second, 0.5))
             assert repr(full_reduction(r, 0j, tau)) == repr(_fold_reference(r, 0j, tau))
+
+
+@pytest.mark.parametrize("regime", ["default", "stress", "cusp", "large-re", "zero-re"])
+def test_reduce_tau_end_equals_word_applied_bit_for_bit(regime):
+    # the one walk's end parameter is its own word replayed on tau
+    rng = random.Random(f"walk:{regime}")
+    for i in range(200):
+        if regime == "zero-re":
+            tau = complex((0.0, -0.0)[i % 2], rng.uniform(1e-3, 2.0))
+        else:
+            tau = _regime_tau(rng, regime)
+        end, word = reduce_tau(ModularParameter(tau))
+        assert repr(end.tau) == repr(apply_word_to_tau(word, tau)), (tau, word)
+
+
+def test_tau_too_small_to_reduce_raises_value_error():
+    from thetakit import Characteristics, elliptic_k, theta_char
+
+    tau = ModularParameter(1e-310j)  # finite, but -1/tau overflows
+    message = r"Im\(tau\)=1e-310 is too small to reduce: -1/tau overflows"
+    for call in (
+        lambda: reduce_tau(tau),
+        lambda: full_reduction(3, 0.1, tau),
+        lambda: eval_reduced(3, 0.1, tau),
+        lambda: theta_char(Characteristics(0.5, 0.0), 0.1, tau),
+        lambda: elliptic_k(tau),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the smallest Im tau that still reduces
+    end, word = reduce_tau(ModularParameter(6e-309j))
+    assert word == (ModularStep.S,) and math.isfinite(end.tau.imag)
