@@ -16,14 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .core import (
-    DEFAULT_SETTINGS,
-    Characteristics,
-    EvalSettings,
-    ModularParameter,
-    TruncationError,
-    theta_char,
-)
+from .core import Characteristics, ModularParameter, theta_char
 from .identities import (
     DEFAULT_BOX,
     STRESS_BOX,
@@ -109,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--u", type=_complex_arg, default=0j, metavar="COMPLEX")
     p_eval.add_argument("--tau", type=_complex_arg, required=True, metavar="COMPLEX")
-    p_eval.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.tol)
-    p_eval.add_argument("--max-terms", type=int, default=DEFAULT_SETTINGS.max_terms)
     p_eval.add_argument(
         "--product", action="store_true", help="also evaluate the product form"
     )
@@ -161,10 +152,6 @@ def _usage_error(message: str) -> int:
 
 def _cmd_eval(args) -> int:
     tau = _modular(args.tau, "--tau")
-    try:
-        settings = EvalSettings(tol=args.tol, max_terms=args.max_terms)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     out: dict = {"tau": format_complex(tau.tau), "u": format_complex(args.u)}
     if args.char is not None and args.big_theta:
         return _usage_error("--big-theta needs --r, not --char")
@@ -173,22 +160,19 @@ def _cmd_eval(args) -> int:
     try:
         if args.char is not None:
             a, b = args.char
-            value = theta_char(Characteristics(a, b), args.u, tau, settings)
+            value = theta_char(Characteristics(a, b), args.u, tau)
             out["char"] = [a, b]
         else:
             evaluate = big_theta if args.big_theta else eval_reduced
-            value = evaluate(args.r, args.u, tau, settings)
+            value = evaluate(args.r, args.u, tau)
             out["r"] = args.r
         out["value"] = format_complex(value)
         if args.product:
-            product = eval_reduced_product(args.r, args.u, tau, settings)
+            product = eval_reduced_product(args.r, args.u, tau)
             out["series"] = format_complex(value)
             out["product"] = format_complex(product)
             out["difference"] = abs(value - product)
-    except TruncationError as exc:
-        print(f"thetakit: evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except ValueError as exc:  # e.g. an Im(tau) too small to reduce
+    except ValueError as exc:  # e.g. an Im(tau) too small or a u too large to reduce
         return _usage_error(str(exc))
     if args.json:
         print(json.dumps(out, sort_keys=True))
@@ -283,12 +267,15 @@ def _cmd_reduce(args) -> int:
         reduced, word = reduce_tau(tau)
     except ValueError as exc:
         return _usage_error(f"--tau: {exc}")
+    try:
+        record = None if args.u is None else full_reduction(args.r, args.u, tau)
+    except ValueError as exc:
+        return _usage_error(f"--u: {exc}")
     tokens = ("S" if k is ModularStep.S else "T" if k == 1 else f"T^{k}" for k in word)
     word_text = " ".join(tokens) if word else "(none)"
     print(f"word       {word_text}")
     print(f"tau'       {format_complex(reduced.tau)}")
-    if args.u is not None:
-        record = full_reduction(args.r, args.u, tau)
+    if record is not None:
         print(f"u'         {format_complex(record.new_u)}")
         print(f"index      {args.r} -> {record.map_index(args.r)}")
         print(f"log_mult   {format_complex(record.log_multiplier)}")

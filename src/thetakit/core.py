@@ -120,23 +120,12 @@ class Characteristics:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("characteristics must be finite reals")
 
-    def canonical(self) -> tuple["Characteristics", complex]:
-        """Equivalent characteristics in [0, 1) x [0, 1) and the relating factor.
-
-        Returns (c0, factor) with theta_{a,b} = factor * theta_{c0.a, c0.b};
-        shifting a by an integer is free, shifting b by k costs exp(2*pi*i*a*k).
-        """
-        ja = math.floor(self.a)
-        jb = math.floor(self.b)
-        a0 = self.a - ja
-        b0 = self.b - jb
-        factor = cexp(2j * PI * a0 * jb)
-        return Characteristics(a0, b0), factor
-
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Accuracy knobs: absolute tail target and hard window cap."""
+    """Accuracy knobs of the unreduced sums and products: absolute tail
+    target and hard window cap.  Reduced routes take none: they sum the
+    proven window N at DEFAULT_SETTINGS (see reduction._reduced_theta)."""
 
     tol: float = 1e-15
     max_terms: int = 1000
@@ -292,22 +281,18 @@ def _series(
     return peak + s
 
 
-def theta_char(
-    chars: Characteristics,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
+def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> complex:
     """theta_{a,b}(u|tau) through the reduced theta_3, by the exact shift
 
         theta_{a,b}(u|tau) = exp(pi*i*tau*a0^2 + 2*pi*i*a0*(u + b))
                              * theta_3(u + b0 + a0*tau | tau),
 
     a0 = a - round(a), b0 = b - round(b).  theta_3 goes through
-    reduction.eval_reduced's route and the prefactor joins its log
-    multiplier before the one exponential, so the accuracy is relative,
-    as for eval_reduced, not the absolute tol * max(1, peak term) of a
-    direct sum, and it holds at every valid tau.
+    reduction.eval_reduced's route, at its one accuracy (no settings),
+    and the prefactor joins its log multiplier before the one
+    exponential, so the accuracy is relative, as for eval_reduced, not
+    the absolute tol * max(1, peak term) of a direct sum, and it holds at
+    every valid tau.  A u that cannot be reduced raises ValueError.
     """
     from . import reduction  # reduction imports this module
 
@@ -315,8 +300,9 @@ def theta_char(
     tv = tau.tau
     a0 = chars.a - round(chars.a)
     w = u + (chars.b - round(chars.b)) + a0 * tv
-    w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
-    value, mu = reduction._reduced_theta(3, w, reduction._path(tau), settings)
+    if math.isfinite(w.real):  # else the reduction raises its ValueError
+        w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
+    value, mu = reduction._reduced_theta(3, w, reduction._path(tau))
     return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
 
 

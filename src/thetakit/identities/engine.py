@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..core import (
-    DEFAULT_SETTINGS,
     PI,
     ModularParameter,
     TruncationError,
@@ -127,7 +126,7 @@ def bracket_product(
 
 def _theta_scaled(r: int, u: complex, path: tuple) -> tuple[complex, float]:
     """theta_r(u|tau) as (mantissa, log_scale) via full reduction, path = _path(tau)."""
-    value, mu = _reduced_theta(r, u, path, DEFAULT_SETTINGS)
+    value, mu = _reduced_theta(r, u, path)
     return value * cexp(1j * mu.imag), mu.real
 
 

@@ -10,17 +10,10 @@ family takes pi*u where we take u.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-from .core import (
-    DEFAULT_SETTINGS,
-    PI,
-    Characteristics,
-    EvalSettings,
-    ModularParameter,
-    cexp,
-    theta_char,
-)
+from .core import PI, Characteristics, ModularParameter, cexp, theta_char
 from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
 from .reduction import eval_reduced
 
@@ -40,23 +33,23 @@ class EllipticK:
     K: complex
 
 
-def elliptic_k(
-    tau: ModularParameter, settings: EvalSettings = DEFAULT_SETTINGS
-) -> EllipticK:
-    """K = (pi/2)*theta_3(0|tau)^2 with the reduced theta_3, accurate next to cusps too."""
-    t3 = eval_reduced(3, 0.0, tau, settings)
-    return EllipticK(0.5 * PI * t3 * t3)
+def elliptic_k(tau: ModularParameter) -> EllipticK:
+    """K = (pi/2)*theta_3(0|tau)^2 with the reduced theta_3, accurate next to cusps too.
+
+    ValueError where K under- or overflows doubles (theta_3(0) is far below
+    1e-154 next to some cusps): a zero K would make Theta_r divide by zero.
+    """
+    t3 = eval_reduced(3, 0.0, tau)
+    k = 0.5 * PI * t3 * t3
+    if not k or not cmath.isfinite(k):
+        raise ValueError(f"K = (pi/2)*theta_3(0)^2 under- or overflows doubles: {k!r}")
+    return EllipticK(k)
 
 
-def big_theta(
-    r: int,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
-    """Theta_r(u|tau) = theta_r(u / (2K) | tau)."""
-    k = elliptic_k(tau, settings).K
-    return eval_reduced(r, complex(u) / (2.0 * k), tau, settings)
+def big_theta(r: int, u: complex, tau: ModularParameter) -> complex:
+    """Theta_r(u|tau) = theta_r(u / (2K) | tau); ValueError where K is out of range."""
+    k = elliptic_k(tau).K
+    return eval_reduced(r, complex(u) / (2.0 * k), tau)
 
 
 def multiplicative_coords(u: complex, tau: ModularParameter) -> tuple[complex, complex]:
@@ -65,12 +58,7 @@ def multiplicative_coords(u: complex, tau: ModularParameter) -> tuple[complex, c
 
 
 def convert_characteristics(
-    convention: str,
-    a: float,
-    b: float,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
+    convention: str, a: float, b: float, u: complex, tau: ModularParameter
 ) -> complex:
     """Rescaled-characteristic theta values of the older conventions.
 
@@ -85,4 +73,4 @@ def convert_characteristics(
         chars = Characteristics(a / 2.0, b / 2.0)
     else:
         raise ValueError(f"convention must be 'W' or 'HC', got {convention!r}")
-    return phase * theta_char(chars, u, tau, settings)
+    return phase * theta_char(chars, u, tau)

@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .core import (
     DEFAULT_SETTINGS,
     PI,
-    EvalSettings,
     ModularParameter,
     cexp,
     theta_product,
@@ -205,14 +204,32 @@ def apply_modular_step(
 
 
 def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
-    """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier."""
-    m = round(u.imag / tv.imag)
-    u1 = u - m * tv
-    n = round(u1.real)
-    u0 = u1 - n
-    negate = ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4))
-    mu = -1j * PI * (2 * m * u0 + m * m * tv)
-    if negate:
+    """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier.
+
+    ValueError where u is not finite, where the shift m*tv or m^2*tv
+    overflows doubles, and where rounding leaves u0 outside the cell by
+    more than Im(tv)/2 (|Im u0| > Im tv): past that no window is proven.
+    The messages call u and tv u' and tau': the point after the word.
+    """
+    try:
+        m = round(u.imag / tv.imag)
+        u1 = u - m * tv
+        n = round(u1.real)
+        u0 = u1 - n
+        mu = -1j * PI * (2 * m * u0 + m * m * tv)
+    except (OverflowError, ValueError):  # round() of inf or nan, or an int past float
+        if not cmath.isfinite(u):
+            raise ValueError(f"cannot reduce u: u'={u!r} is not finite") from None
+        raise ValueError(
+            f"cannot reduce u: the lattice shift of u'={u!r} by "
+            f"{u.imag / tv.imag:.3g}*tau' overflows doubles"
+        ) from None
+    if abs(u0.imag) > tv.imag:
+        raise ValueError(
+            f"cannot reduce u: rounding leaves u'={u!r} outside the cell "
+            f"(|Im u0|={abs(u0.imag):.3g} > Im tau'={tv.imag:.3g})"
+        )
+    if ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4)):
         mu += 1j * PI
     return u0, n, m, mu
 
@@ -301,6 +318,7 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
 
     Equal to folding apply_modular_step over the word with then() and
     finishing with reduce_u; the tau-only part of the word is cached.
+    ValueError where u cannot be reduced (see _cell).
     """
     _check_index(r)
     tokens, end, _ = _path(tau)
@@ -312,53 +330,45 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
 
 
-def _reduced_theta(
-    r: int, u: complex, path: tuple, settings: EvalSettings
-) -> tuple[complex, complex]:
+def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     """(value at the reduced point, log multiplier) of theta_r(u|tau), path = _path(tau).
 
     The value is bit-equal to theta(record.map_index(r), record.new_u,
-    record.new_tau, settings) and the multiplier to
-    record.log_multiplier, record = full_reduction(r, u, tau); only the
-    record and the cache key are skipped, and q^2 comes from the path.
+    record.new_tau) and the multiplier to record.log_multiplier,
+    record = full_reduction(r, u, tau); only the record and the cache
+    key are skipped, and q^2 comes from the path.  Every reduced route
+    sums here at DEFAULT_SETTINGS: in the cell that is the proven window
+    N (tail below 1e-18 of the peak term), and a search only where
+    rounding leaves the point just outside; _cell rejects the rest.
     """
     tokens, end, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
-    return _theta_sum(r, u0, end, settings, q2), mu + mu_cell
+    return _theta_sum(r, u0, end, DEFAULT_SETTINGS, q2), mu + mu_cell
 
 
-def eval_reduced(
-    r: int,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
+def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     """theta_r(u|tau) via full reduction; converges for every valid tau.
 
     After reduction |q| <= 0.0658 and the series window stays small even
     where direct summation would need thousands of terms or overflow.
     The returned value itself can still overflow the double range for
     extreme arguments; use full_reduction directly to stay in log form.
+    ValueError where u cannot be reduced (see _cell).
     """
     _check_index(r)
-    value, mu = _reduced_theta(r, u, _path(tau), settings)
+    value, mu = _reduced_theta(r, u, _path(tau))
     return cexp(mu) * value
 
 
-def eval_reduced_product(
-    r: int,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
+def eval_reduced_product(r: int, u: complex, tau: ModularParameter) -> complex:
     """Like eval_reduced but with the triple product at the reduced point.
 
     Shares the reduction record with the series path, so the two values
     differ only by the series-vs-product route.
     """
     record = full_reduction(r, u, tau)
-    value = theta_product(record.map_index(r), record.new_u, record.new_tau, settings)
+    value = theta_product(record.map_index(r), record.new_u, record.new_tau)
     return record.multiplier() * value
 
 

@@ -9,7 +9,6 @@ from thetakit.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,
     EXIT_USAGE,
-    EXIT_VERIFY_FAIL,
     format_complex,
     main,
     parse_complex,
@@ -102,17 +101,9 @@ class TestEval:
         assert out_complex(product.split()[1]) == pytest.approx(out_complex(value), rel=1e-10)
         assert float(difference.split()[1]) < 1e-11
 
-    def test_truncation_exhaustion_exits_with_failure(self, capsys):
-        # the reduced point needs more than one term even at tau = i
-        code = main(["eval", "--char", "0,0", "--u", "0.3+0.5i", "--tau", "1i", "--max-terms", "1"])
-        captured = capsys.readouterr()
-        assert code == EXIT_VERIFY_FAIL
-        assert captured.out == ""
-        assert "evaluation failed" in captured.err
-
     def test_characteristic_at_tiny_im_tau_reduces_first(self, capsys):
         # a direct sum exhausted 10 terms here; the reduced theta_3 needs a handful
-        argv = ["--u", "0.3", "--tau", "0.0001i", "--max-terms", "10"]
+        argv = ["--u", "0.3", "--tau", "0.0001i"]
         assert main(["eval", "--char", "0,0", *argv]) == EXIT_OK
         char_out = capsys.readouterr().out
         assert main(["eval", "--r", "3", *argv]) == EXIT_OK
@@ -133,15 +124,47 @@ class TestEval:
         assert err.value.code == EXIT_USAGE
         assert "--char" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-15"])
-    @pytest.mark.parametrize("which", [["--char", "0.5,0.5"], ["--r", "3"]])
-    def test_non_finite_or_non_positive_tol_rejected(self, which, tol, capsys):
-        # a three-term sum under tol=inf came back as the value, exit 0
-        code = main(["eval", *which, "--u", "0.3", "--tau", "0.01i", f"--tol={tol}"])
+    def test_settings_flags_are_gone(self, capsys):
+        # reduced values sum the proven fixed window: no tol or cap to set
+        for flag in (["--tol", "1e-9"], ["--max-terms", "10"]):
+            with pytest.raises(SystemExit) as err:
+                main(["eval", "--r", "3", "--tau", "1i", *flag])
+            assert err.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--r", "3", "--tau", "1i", "--u", "1e300i"], "lattice shift"),
+            (["eval", "--r", "1", "--tau", "1i", "--u", "1e400"], "is not finite"),
+            (["eval", "--char", "0.5,0", "--tau", "1i", "--u", "1e300i"], "lattice shift"),
+            (["eval", "--char", "0.5,0", "--tau", "1i", "--u", "1e400"], "is not finite"),
+            (["reduce", "--tau", "1i", "--u", "1e300i"], "--u: cannot reduce u"),
+            (
+                ["eval", "--r", "2", "--big-theta", "--tau", "22.999418910856136+0.004212647321610028i",
+                 "--u", "5.355817839603837+19.73583697814024i"],
+                "lattice shift",
+            ),
+            (
+                ["eval", "--r", "4", "--big-theta", "--tau=-17.005073413886386+0.009722411305512765i",
+                 "--u=-2.094570990978461+19.25462299557679i"],
+                "outside the cell",
+            ),
+            (
+                ["eval", "--r", "4", "--big-theta", "--tau", "31.66660672356315+0.0001367634137849261i",
+                 "--u", "10.021257931131927+6.247743642203368i"],
+                "K = (pi/2)*theta_3(0)^2 under- or overflows doubles",
+            ),
+        ],
+        ids=["r-shift", "r-inf", "char-shift", "char-inf", "reduce-shift",
+             "big-theta-shift", "big-theta-cell", "big-theta-zero-k"],
+    )
+    def test_unevaluable_input_is_one_line_usage_error(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert code == EXIT_USAGE
         assert captured.out == ""
-        assert "tol must be finite and positive" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.startswith("thetakit: error: ")
+        assert message in captured.err
 
 
 class TestVerify:

@@ -250,7 +250,7 @@ class TestThetaChar:
         # tau small enough that the window exceeds the loop cutoff
         tau = ModularParameter(0.002j)
         settings = EvalSettings(max_terms=100000)
-        got = theta_char(Characteristics(0.0, 0.0), 0.125, tau, settings)
+        got = theta_char(Characteristics(0.0, 0.0), 0.125, tau)
         want = theta_char_series(0.0, 0.0, 0.125, tau.tau, n=200)
         assert got == pytest.approx(want, rel=1e-10)
         # theta_char reduces first; the wide window is theta's direct sum
@@ -280,17 +280,6 @@ class TestThetaChar:
         # relative check with an absolute floor for bindings at exact zeros
         assert abs(shifted_a - base) <= 1e-12 * abs(base) + 1e-13
         assert abs(shifted_b - cmath.exp(2j * math.pi * a) * base) <= 1e-12 * abs(base) + 1e-13
-
-    def test_canonical_characteristics(self, rng):
-        for _ in range(20):
-            a, b = rng.uniform(-4, 4), rng.uniform(-4, 4)
-            u = random_point(rng)
-            tau = random_tau(rng)
-            canon, factor = Characteristics(a, b).canonical()
-            assert 0.0 <= canon.a < 1.0 and 0.0 <= canon.b < 1.0
-            full = theta_char(Characteristics(a, b), u, tau)
-            via = factor * theta_char(canon, u, tau)
-            assert full == pytest.approx(via, rel=1e-11, abs=1e-12)
 
 
 class TestTheta:
@@ -364,6 +353,34 @@ class TestThetaProduct:
     def test_nome_too_close_to_one(self):
         with pytest.raises(TruncationError):
             theta_product(3, 0.0, ModularParameter(1e-5j), EvalSettings(max_terms=500))
+
+
+def test_settings_reach_only_the_unreduced_routes():
+    import inspect
+
+    from thetakit import notation, reduction
+
+    for func in (
+        reduction.eval_reduced,
+        reduction.eval_reduced_product,
+        reduction._reduced_theta,
+        theta_char,
+        notation.elliptic_k,
+        notation.big_theta,
+        notation.convert_characteristics,
+    ):
+        assert "settings" not in inspect.signature(func).parameters, func.__name__
+    capped = EvalSettings(max_terms=2)
+    tau = ModularParameter(0.01j)
+    for call in (
+        lambda: theta(3, 0.1, tau, capped),
+        lambda: theta_product(3, 0.1, tau, capped),
+        lambda: theta1_prime0(tau, capped),
+        lambda: theta_constants(tau, capped),
+        lambda: gauss_product_theta4(tau, capped),
+    ):
+        with pytest.raises(TruncationError):
+            call()
 
 
 class TestThetaConstants:

@@ -99,3 +99,13 @@ class TestCharacteristicConventions:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
             convert_characteristics("WW", 0.0, 0.0, 0.0, ModularParameter(1j))
+
+
+def test_elliptic_k_rejects_an_underflowed_k():
+    # next to this cusp theta_3(0) = 3.3e-231, so K = (pi/2)*theta_3(0)^2 is 0 in doubles
+    tau = ModularParameter(31.66660672356315 + 0.0001367634137849261j)
+    assert 0.0 < abs(eval_reduced(3, 0.0, tau)) < 1e-230
+    with pytest.raises(ValueError, match=r"K = \(pi/2\)\*theta_3\(0\)\^2 under- or overflows"):
+        elliptic_k(tau)
+    with pytest.raises(ValueError, match="under- or overflows"):  # was ZeroDivisionError
+        big_theta(4, 10.021257931131927 + 6.247743642203368j, tau)

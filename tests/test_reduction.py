@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 from conftest import random_point, random_tau
 from oracles import slow_theta
 from thetakit import (
+    Characteristics,
     HalfPeriod,
     ModularParameter,
     ModularStep,
     apply_modular_step,
+    big_theta,
     eval_reduced,
     full_reduction,
     half_period_shift,
     reduce_tau,
     reduce_u,
     theta,
+    theta_char,
     zeros_of,
 )
 from thetakit.reduction import (
@@ -487,3 +490,61 @@ def test_tau_too_small_to_reduce_raises_value_error():
     # the smallest Im tau that still reduces
     end, word = reduce_tau(ModularParameter(6e-309j))
     assert word == (ModularStep.S,) and math.isfinite(end.tau.imag)
+
+
+
+_I = ModularParameter(1j)
+_NOT_FINITE = r"u'=\(?inf\+0(\.5)?j\)? is not finite"
+_SHIFT = r"the lattice shift of u'=.* overflows doubles"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: eval_reduced(3, 1e300j, _I), _SHIFT, id="eval_reduced-shift"),
+        pytest.param(lambda: eval_reduced(1, complex("inf"), _I), _NOT_FINITE, id="eval_reduced-inf"),
+        pytest.param(
+            lambda: eval_reduced(2, complex("nan"), _I), r"u'=\(nan\+0j\) is not finite",
+            id="eval_reduced-nan",
+        ),
+        pytest.param(
+            lambda: theta_char(Characteristics(0.5, 0.0), 1e300j, _I), _SHIFT, id="theta_char-shift"
+        ),
+        pytest.param(
+            lambda: theta_char(Characteristics(0.5, 0.0), complex("inf"), _I), _NOT_FINITE,
+            id="theta_char-inf",
+        ),
+        pytest.param(lambda: full_reduction(3, 1e300j, _I), _SHIFT, id="full_reduction-shift"),
+        pytest.param(lambda: reduce_u(3, complex("inf"), _I), _NOT_FINITE, id="reduce_u-inf"),
+        pytest.param(lambda: eval_reduced_product(3, 1e300j, _I), _SHIFT, id="product-shift"),
+        pytest.param(
+            lambda: big_theta(
+                2,
+                5.355817839603837 + 19.73583697814024j,
+                ModularParameter(22.999418910856136 + 0.004212647321610028j),
+            ),
+            _SHIFT,
+            id="big_theta-shift",
+        ),
+        # tau reduces to Im tau' = 80.8, where u/(2K) needs a shift so large
+        # that rounding leaves Im u0 = 6.8e38
+        pytest.param(
+            lambda: big_theta(
+                4,
+                -2.094570990978461 + 19.25462299557679j,
+                ModularParameter(-17.005073413886386 + 0.009722411305512765j),
+            ),
+            r"rounding leaves u'=.* outside the cell \(\|Im u0\|=6\.81e\+38 > Im tau'=80\.8\)",
+            id="big_theta-cell",
+        ),
+    ],
+)
+def test_unreducible_u_raises_value_error(call, message):
+    with pytest.raises(ValueError, match="cannot reduce u: " + message):
+        call()
+
+
+def test_shift_just_inside_double_range_still_reduces():
+    # m = 1e150: m^2*tau = 1e300 is a double, and u0 lands in the cell
+    record = full_reduction(3, 1e150j, ModularParameter(1j))
+    assert abs(record.new_u.imag) <= 0.5 and math.isfinite(record.log_multiplier.real)
