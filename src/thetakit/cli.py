@@ -9,6 +9,7 @@ produce byte-identical reports (wall times go to the console only).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -150,6 +151,12 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_finite(name: str, z: complex) -> None:
+    """ValueError for an inf or nan result: never printed with exit 0."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"the {name} leaves the double range: {format_complex(z)}")
+
+
 def _cmd_eval(args) -> int:
     tau = _modular(args.tau, "--tau")
     out: dict = {"tau": format_complex(tau.tau), "u": format_complex(args.u)}
@@ -166,13 +173,15 @@ def _cmd_eval(args) -> int:
             evaluate = big_theta if args.big_theta else eval_reduced
             value = evaluate(args.r, args.u, tau)
             out["r"] = args.r
+        _check_finite("value", value)
         out["value"] = format_complex(value)
         if args.product:
             product = eval_reduced_product(args.r, args.u, tau)
+            _check_finite("product", product)
             out["series"] = format_complex(value)
             out["product"] = format_complex(product)
             out["difference"] = abs(value - product)
-    except ValueError as exc:  # e.g. an Im(tau) too small or a u too large to reduce
+    except ValueError as exc:  # e.g. an Im(tau) too small, a u too large to reduce, an inf value
         return _usage_error(str(exc))
     if args.json:
         print(json.dumps(out, sort_keys=True))

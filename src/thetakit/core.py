@@ -242,8 +242,10 @@ def _series(
 
     The one summation behind every theta value.  alternating puts in
     the exact sign (-1)^k of a half-integer b.  The sum starts at the
-    discrete peak k0 = round(-Im v/Im tv - a0), clamped to the window,
-    and walks outward by the term recurrence
+    discrete peak k0 = round(-Im v/Im tv - a0), clamped to the window
+    (a half-integer tie goes to the side the sign of Im v selects, since
+    -Im v/Im tv can round away into a0 at a huge Im tv; at Im v = 0 it
+    stays with round), and walks outward by the term recurrence
     term *= ratio, ratio *= q^2: the step from x to x + 1 is
     exp(pi*i*(tv*(2x+1) + 2v)), and each further step multiplies it by
     q2 = _nome_sq(tv), which the caller passes in so that a reduced tau
@@ -256,7 +258,10 @@ def _series(
     never turns it into nan.
     """
     ipi = 1j * PI
-    k0 = round(min(max(-v.imag / tv.imag - a0, -n), n))
+    c = min(max(-v.imag / tv.imag - a0, -n), n)
+    k0 = round(c)
+    if abs(c - k0) == 0.5 and v.imag:
+        k0 = math.floor(c) if v.imag > 0.0 else math.ceil(c)
     x0 = k0 + a0
     peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
     if alternating and (k0 & 1):

@@ -11,7 +11,9 @@ family takes pi*u where we take u.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import PI, Characteristics, ModularParameter, cexp, theta_char
 from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
@@ -36,10 +38,23 @@ class EllipticK:
 def elliptic_k(tau: ModularParameter) -> EllipticK:
     """K = (pi/2)*theta_3(0|tau)^2 with the reduced theta_3, accurate next to cusps too.
 
+    K depends on tau alone, so it is summed once per tau and cached by
+    value: the key is (tau.tau, copysign(1.0, Re tau)), like the
+    reduction path's, so Re tau = 0.0 and -0.0 stay apart.  A hit
+    returns bit for bit what the sum gives.
+
     ValueError where K under- or overflows doubles (theta_3(0) is far below
     1e-154 next to some cusps): a zero K would make Theta_r divide by zero.
+    The error is not cached; every call at such a tau raises it.
     """
-    t3 = eval_reduced(3, 0.0, tau)
+    tv = tau.tau
+    return _elliptic_k(tv, math.copysign(1.0, tv.real))
+
+
+@lru_cache(maxsize=4096)
+def _elliptic_k(tv: complex, re_sign: float) -> EllipticK:
+    """elliptic_k of ModularParameter(tv); re_sign only splits the key."""
+    t3 = eval_reduced(3, 0.0, ModularParameter(tv))
     k = 0.5 * PI * t3 * t3
     if not k or not cmath.isfinite(k):
         raise ValueError(f"K = (pi/2)*theta_3(0)^2 under- or overflows doubles: {k!r}")
@@ -47,7 +62,12 @@ def elliptic_k(tau: ModularParameter) -> EllipticK:
 
 
 def big_theta(r: int, u: complex, tau: ModularParameter) -> complex:
-    """Theta_r(u|tau) = theta_r(u / (2K) | tau); ValueError where K is out of range."""
+    """Theta_r(u|tau) = theta_r(u / (2K) | tau); ValueError where K is out of range.
+
+    K comes from elliptic_k's per-tau cache (keyed by the value of tau
+    and the sign of Re tau), so at a tau seen before this is one reduced
+    sum, not two.
+    """
     k = elliptic_k(tau).K
     return eval_reduced(r, complex(u) / (2.0 * k), tau)
 

@@ -280,18 +280,22 @@ def half_period_shift(
 
 
 @lru_cache(maxsize=4096)
-def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
-    """(tokens, end, q2): the one walk of tau into the fundamental domain.
+def _tau_path(tv: complex, re_sign: float) -> tuple:
+    """(tokens, end, q2): the one walk of tau = tv into the fundamental domain.
+
+    Keyed by value, (tau.tau, copysign(1.0, Re tau)), not by the
+    ModularParameter, whose generated __hash__ and __eq__ run Python code
+    on every lookup.  re_sign keeps Re tau = 0.0 and -0.0 apart: equal
+    complex keys, different bits along the walk.
 
     Each translation run is one token T^-shift and one subtraction
     t - shift, which is exact: both operands are multiples of ulp(Re t)
     and the result is at most 1/2.  Each S step is one token and
     t = -1/t.  The walk ends once |t| >= 1 and terminates because every
     S step strictly increases Im(t) while |t| < 1.  The tokens are
-    _token's; q2 = _nome_sq(end.tau) (see core._series).  re_sign keeps
-    Re tau = 0.0 and -0.0 apart: equal keys, different bits.
+    _token's; q2 = _nome_sq(end.tau) (see core._series).
     """
-    t = tau.tau
+    t = tv
     tokens = []
     while True:
         shift = round(t.real)
@@ -304,13 +308,14 @@ def _tau_path(tau: ModularParameter, re_sign: float) -> tuple:
         t = -1.0 / t
         if not cmath.isfinite(t):
             raise ValueError(
-                f"Im(tau)={tau.tau.imag!r} is too small to reduce: -1/tau overflows"
+                f"Im(tau)={tv.imag!r} is too small to reduce: -1/tau overflows"
             )
 
 
 def _path(tau: ModularParameter) -> tuple:
-    """The cached _tau_path of tau."""
-    return _tau_path(tau, math.copysign(1.0, tau.tau.real))
+    """The cached _tau_path of tau, looked up by value."""
+    tv = tau.tau
+    return _tau_path(tv, math.copysign(1.0, tv.real))
 
 
 def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformRecord:

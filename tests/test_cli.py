@@ -155,9 +155,15 @@ class TestEval:
                  "--u", "10.021257931131927+6.247743642203368i"],
                 "K = (pi/2)*theta_3(0)^2 under- or overflows doubles",
             ),
+            (["eval", "--r", "3", "--tau", "1i", "--u", "20i"], "leaves the double range: inf+nani"),
+            (["eval", "--r", "1", "--tau", "1i", "--u", "1e17i"], "leaves the double range: nan+infi"),
+            (["eval", "--r", "3", "--big-theta", "--tau", "1i", "--u", "75i"], "leaves the double range"),
+            (["eval", "--char", "0.5,0.5", "--tau", "1i", "--u", "20i"], "leaves the double range"),
+            (["eval", "--r", "3", "--tau", "1i", "--u", "20i", "--product"], "leaves the double range"),
         ],
         ids=["r-shift", "r-inf", "char-shift", "char-inf", "reduce-shift",
-             "big-theta-shift", "big-theta-cell", "big-theta-zero-k"],
+             "big-theta-shift", "big-theta-cell", "big-theta-zero-k", "r-inf-value",
+             "r-nan-value", "big-theta-inf-value", "char-nan-value", "product-inf-value"],
     )
     def test_unevaluable_input_is_one_line_usage_error(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
@@ -165,6 +171,11 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("thetakit: error: ")
         assert message in captured.err
+
+
+    def test_large_finite_value_still_prints(self, capsys):
+        assert main(["eval", "--r", "3", "--tau", "1i", "--u", "14i"]) == EXIT_OK
+        assert capsys.readouterr().out == "2.8429487171531701e+267+0i\n"
 
 
 class TestVerify:

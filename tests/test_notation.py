@@ -2,7 +2,9 @@
 and the rescaled characteristic conventions."""
 
 import cmath
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -18,6 +20,7 @@ from thetakit import (
     theta,
     theta_char,
 )
+from thetakit.notation import _elliptic_k
 
 # frozen: (pi/2) * theta_3(0|i)^2 from the 50-term series oracle
 K_AT_I = 1.8540746773013725
@@ -109,3 +112,55 @@ def test_elliptic_k_rejects_an_underflowed_k():
         elliptic_k(tau)
     with pytest.raises(ValueError, match="under- or overflows"):  # was ZeroDivisionError
         big_theta(4, 10.021257931131927 + 6.247743642203368j, tau)
+
+
+class TestKCache:
+    def test_second_call_at_an_equal_tau_is_a_hit(self):
+        tau = ModularParameter(0.3125 + 0.8125j)
+        first = elliptic_k(tau).K
+        hits = _elliptic_k.cache_info().hits
+        again = elliptic_k(ModularParameter(0.3125 + 0.8125j)).K
+        assert _elliptic_k.cache_info().hits == hits + 1
+        t3 = eval_reduced(3, 0, tau)
+        assert repr(again) == repr(first) == repr(0.5 * math.pi * t3 * t3)
+
+    def test_signed_zero_re_tau_kept_apart(self):
+        # equal complex keys: the sign of Re tau alone tells them apart
+        for re_first, re_second, im in ((0.0, -0.0, 0.40625), (-0.0, 0.0, 0.59375)):
+            elliptic_k(ModularParameter(complex(re_first, im)))
+            misses = _elliptic_k.cache_info().misses
+            tau = ModularParameter(complex(re_second, im))
+            t3 = eval_reduced(3, 0, tau)
+            assert repr(elliptic_k(tau).K) == repr(0.5 * math.pi * t3 * t3)
+            assert _elliptic_k.cache_info().misses == misses + 1
+
+    def test_out_of_range_k_is_not_cached(self):
+        tau = ModularParameter(31.66660672356315 + 0.0001367634137849261j)
+        for _ in range(2):
+            misses = _elliptic_k.cache_info().misses
+            with pytest.raises(ValueError, match="under- or overflows"):
+                elliptic_k(tau)
+            assert _elliptic_k.cache_info().misses == misses + 1
+
+
+# sha256 of the repr of every value below, pinned before K was cached per tau
+PINNED_BITS_SHA256 = "ff19a426ce45d6735ad83d9acf717a3e03d1fd735b632cd986b3c21d699ca447"
+
+
+def test_cached_per_tau_values_are_pinned_bit_for_bit():
+    # tau = 1.2i, next to the cusp at 3 (Im tau = 0.03), and Re tau = +0.0
+    # then -0.0; every call is made twice, so the second one hits the caches
+    rng = random.Random("per-tau bits")
+    taus = (1.2j, complex(3.0021, 0.03), complex(0.0, 0.5), complex(-0.0, 0.5))
+    chars = (Characteristics(0.5, 0.0), Characteristics(0.25, -0.75))
+    digest = hashlib.sha256()
+    for tv in taus:
+        points = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(8)]
+        for _ in range(2):
+            tau = ModularParameter(tv)
+            values = [elliptic_k(tau).K]
+            for u in points:
+                values += [big_theta(r, u, tau) for r in (1, 2, 3, 4)]
+                values += [theta_char(c, u, tau) for c in chars]
+            digest.update(repr(values).encode())
+    assert digest.hexdigest() == PINNED_BITS_SHA256

@@ -17,6 +17,7 @@ from thetakit import (
     ModularStep,
     apply_modular_step,
     big_theta,
+    elliptic_k,
     eval_reduced,
     full_reduction,
     half_period_shift,
@@ -548,3 +549,26 @@ def test_shift_just_inside_double_range_still_reduces():
     # m = 1e150: m^2*tau = 1e300 is a double, and u0 lands in the cell
     record = full_reduction(3, 1e150j, ModularParameter(1j))
     assert abs(record.new_u.imag) <= 0.5 and math.isfinite(record.log_multiplier.real)
+
+
+def test_peak_tie_at_huge_im_tau_follows_the_sign_of_im_u():
+    # -Im u/Im tau = -1.3e-148 vanishes into a0 = -1/2, so the peak index
+    # ties; the wrong side of the tie made the series step exp(2*pi*Im u) overflow
+    tau = ModularParameter(-4.645303596781149 + 2.3682154996852834e204j)
+    u = -4.3028179067476085e82 + 3.196840279137255e56j
+    assert repr(eval_reduced(2, u, tau)) == "(-0+0j)"
+    assert big_theta(2, 2.0 * elliptic_k(tau).K * u, tau) == 0
+
+
+def test_reduced_routes_at_huge_im_tau_stay_finite():
+    # Im u up to Im tau/2 at Im tau in 1e33..1e300: the peak tie above
+    # raised OverflowError in 37 of these 200 calls
+    rng = random.Random("huge im tau")
+    for i in range(200):
+        tv = complex(rng.uniform(-5, 5), 10 ** rng.uniform(33, 300))
+        im_u = rng.choice((-1, 1)) * 10 ** rng.uniform(0, math.log10(tv.imag / 2))
+        u = complex(rng.uniform(-1, 1) * 10 ** rng.uniform(0, 300), im_u)
+        tau = ModularParameter(tv)
+        r = 1 + (i // 2) % 4
+        value = eval_reduced(r, u, tau) if i % 2 else big_theta(r, u, tau)
+        assert cmath.isfinite(value), (r, u, tv)
