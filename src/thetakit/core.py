@@ -256,6 +256,14 @@ def _series(
     partial term overflows.
     A saturated (non-finite) peak term is returned as it is, so the sum
     never turns it into nan.
+
+    alternating=None sums both at once and returns (plain, alternating):
+    one prologue and one loop with two accumulators, the second adding
+    +-term by the parity of k.  IEEE negation is exact, so each term of
+    the alternating recurrence is exactly +-term (up to the sign of an
+    exact zero, which no sum started at 0j can keep), and each
+    accumulator makes the same additions in the same order as its own
+    one-sum call: both results are bit-equal to alternating=False and True.
     """
     ipi = 1j * PI
     c = min(max(-v.imag / tv.imag - a0, -n), n)
@@ -264,16 +272,37 @@ def _series(
         k0 = math.floor(c) if v.imag > 0.0 else math.ceil(c)
     x0 = k0 + a0
     peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
+    steps_expos = (
+        (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
+        (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
+    )
+    if alternating is None:
+        alt_peak = -peak if k0 & 1 else peak
+        if not cmath.isfinite(peak):
+            return peak, alt_peak
+        s = a = 0j
+        for steps, step_expo in steps_expos:
+            if steps:
+                term = peak
+                ratio = cmath.exp(ipi * step_expo)
+                odd = not k0 & 1  # the parity of the first k stepped to
+                for _ in range(steps):
+                    term *= ratio
+                    ratio *= q2
+                    s += term
+                    if odd:
+                        a -= term
+                    else:
+                        a += term
+                    odd = not odd
+        return peak + s, alt_peak + a
     if alternating and (k0 & 1):
         peak = -peak
     if not cmath.isfinite(peak):
         return peak
     # |ratio| <= 1: cmath.exp cannot overflow on it
     s = 0j
-    for steps, step_expo in (
-        (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
-        (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
-    ):
+    for steps, step_expo in steps_expos:
         if steps:
             term = peak
             ratio = cmath.exp(ipi * step_expo)

@@ -121,12 +121,30 @@ class Term:
 
 @dataclass(frozen=True)
 class Identity:
-    """A parsed identity: lhs terms = rhs terms over declared variables."""
+    """A parsed identity: lhs terms = rhs terms over declared variables.
+
+    The hash of the field tuple is computed on the first __hash__ and kept
+    in the instance dict, outside the fields, so repr and == do not see it
+    and a cached plan lookup does not rehash the whole term tree.  Pickling
+    drops it: string hashes differ between processes.
+    """
 
     id: str
     lhs: tuple[Term, ...]
     rhs: tuple[Term, ...]
     variables: tuple[str, ...]
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.id, self.lhs, self.rhs, self.variables))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def structurally_equal(a: Identity, b: Identity) -> bool:

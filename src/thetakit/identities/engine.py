@@ -1,10 +1,14 @@
 """Numerical evaluation and randomized verification of catalog identities.
 
-Each identity is compiled once into a plan of plain numbers (_Plan).  A
-trial evaluates every unique factor once, by full reduction or, with
-use_reduction=False, by direct summation, then assembles the terms.
-The engine runs at one accuracy: every factor is evaluated at the
-default EvalSettings (tol 1e-15, max_terms 1000).
+Each identity is compiled once into a plan of plain numbers (_Plan),
+whose factors are grouped by the point where they are evaluated.  A
+trial evaluates every unique point once, for all its theta indices
+together (one reduction walk, one lattice cell, one series pass per
+half-integer class, bit-equal to one evaluation per index), by full
+reduction or, with use_reduction=False, by direct summation per
+factor, then assembles the terms.  The engine runs at one accuracy:
+every factor is evaluated at the default EvalSettings (tol 1e-15,
+max_terms 1000).
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -17,9 +21,9 @@ cancellation of large terms.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,12 +31,19 @@ from ..core import (
     PI,
     ModularParameter,
     TruncationError,
-    cexp,
     gauss_product_theta4,
     theta,
     theta1_prime0,
 )
-from ..reduction import HalfPeriod, eval_reduced, half_period_shift, _path, _reduced_theta
+from ..reduction import (
+    _HP_PERM,
+    HalfPeriod,
+    eval_reduced,
+    half_period_shift,
+    _path,
+    _reduced_theta,
+    _reduced_thetas,
+)
 from ..reduction import full_reduction  # noqa: F401  unused; perfbench's layer tracer wraps it here
 from .catalog import catalog_by_id
 from .dsl import DTHETA1, GAUSS4, PI_CONST, Identity, ThetaFactor
@@ -124,25 +135,30 @@ def bracket_product(
     return value
 
 
-def _theta_scaled(r: int, u: complex, path: tuple) -> tuple[complex, float]:
-    """theta_r(u|tau) as (mantissa, log_scale) via full reduction, path = _path(tau)."""
-    value, mu = _reduced_theta(r, u, path)
-    return value * cexp(1j * mu.imag), mu.real
-
-
 @dataclass(frozen=True)
 class _Plan:
     """An identity as plain numbers, compiled once.
 
-    factors: (kind, slot 0 for tau or 1 for 2tau, const, (variable
-    position, int coeff) pairs, tau offset, offset is a half-integer);
+    points: the unique factors grouped by where they are evaluated, in
+    order of first use, each (special, slot 0 for tau or 1 for 2tau,
+    const, (variable position, int coeff) pairs, tau offset, offset is a
+    half-integer, kinds, inner indices, factor positions).  A theta point
+    has special None and lists every index wanted at its argument: kinds
+    are the factors' theta indices, inner the indices summed (a
+    half-integer offset sums index 5 - r, by the tau/2 shift table) and
+    positions where each value goes.  A pi, dt1 or gauss4 factor is a
+    point of its own, with special set to its kind.
     sides: per side, the terms as (coefficient, factor positions).
     """
 
     variables: tuple[str, ...]
-    factors: tuple[tuple, ...]
+    points: tuple[tuple, ...]
+    n_factors: int
     sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
     doubled: bool  # some factor lives at 2tau
+
+
+_TAU_HALF_PERM = _HP_PERM[HalfPeriod.TAU_HALF]
 
 
 @lru_cache(maxsize=1024)
@@ -155,53 +171,83 @@ def _compile(identity: Identity) -> _Plan:
             indices = tuple(unique.setdefault(f, len(unique)) for f in t.factors)
             terms.append((complex(float(t.coefficient)), indices))
         sides.append(tuple(terms))
-    factors = []
-    for f in unique:
-        lf = f.argument
-        sigma = lf.tau_coeff / f.tau_multiplier  # relative to the factor's slot
-        coeffs = tuple((identity.variables.index(name), c) for name, c in lf.var_coeffs)
-        factors.append((f.index, f.tau_multiplier - 1, float(lf.const), coeffs,
-                        float(sigma), sigma.denominator == 2))
+    points: dict[tuple, tuple] = {}  # key -> (fields, kinds, inner indices, positions)
+    for position, f in enumerate(unique):
+        slot = f.tau_multiplier - 1
+        inner = f.index
+        if f.index in (PI_CONST, DTHETA1, GAUSS4):
+            key = fields = (f.index, slot, 0.0, (), 0.0, False)
+        else:
+            lf = f.argument
+            sigma = lf.tau_coeff / f.tau_multiplier  # relative to the factor's slot
+            coeffs = tuple((identity.variables.index(name), c) for name, c in lf.var_coeffs)
+            half = sigma.denominator == 2
+            key = fields = (None, slot, float(lf.const), coeffs, float(sigma), half)
+            if half:
+                inner = _TAU_HALF_PERM[f.index - 1]
+        _, kinds, inners, positions = points.setdefault(key, (fields, [], [], []))
+        kinds.append(f.index)
+        inners.append(inner)
+        positions.append(position)
+    compiled = tuple(
+        (*fields, tuple(kinds), tuple(inner), tuple(positions))
+        for fields, kinds, inner, positions in points.values()
+    )
     doubled = any(f.tau_multiplier == 2 for f in unique)
-    return _Plan(identity.variables, tuple(factors), tuple(sides), doubled)
+    return _Plan(identity.variables, compiled, len(unique), tuple(sides), doubled)
 
 
 def _factor_values(
     plan: _Plan, binding: VariableBinding, use_reduction: bool
-) -> Iterator[tuple[complex, float]]:
-    """Every unique factor of the plan as (mantissa, log_scale)."""
+) -> list[tuple[complex, float]]:
+    """Every unique factor of the plan as (mantissa, log_scale), by position.
+
+    Each point is evaluated once.  Reduced, one index is one
+    _reduced_theta call and several are one _reduced_thetas call, which
+    is bit-equal to one _reduced_theta per index; the log multiplier's
+    phase then joins the mantissa.  A phase's exponent has real part
+    +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
+    """
     bases = (binding.tau, binding.tau.scaled(2) if plan.doubled else None)
     paths = [None, None]  # each base's reduction path, looked up on first use
     values = [binding.values[name] for name in plan.variables]
-    for kind, slot, const, coeffs, offset, half in plan.factors:
+    out: list = [None] * plan.n_factors
+    for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
         base = bases[slot]
-        if kind == PI_CONST:
-            yield complex(PI), 0.0
-        elif kind == DTHETA1:
-            yield theta1_prime0(base), 0.0
-        elif kind == GAUSS4:
-            yield gauss_product_theta4(base), 0.0
-        else:
-            w = complex(const)
-            for i, c in coeffs:
-                w += c * values[i]
-            if not use_reduction:
-                yield theta(kind, w + offset * base.tau, base), 0.0
-                continue
-            path = paths[slot]
-            if path is None:
-                path = paths[slot] = _path(base)
-            if half:
-                # route the half-period part through the shift table:
-                # better accuracy than summing on the Im cell boundary
-                point = w + (offset - 0.5) * base.tau
-                record = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base)
-                inner = record.map_index(kind)
-                mantissa, scale = _theta_scaled(inner, point, path)
-                mu = record.log_multiplier
-                yield mantissa * cexp(1j * mu.imag), scale + mu.real
+        if special is not None:
+            if special == PI_CONST:
+                value = complex(PI)
+            elif special == DTHETA1:
+                value = theta1_prime0(base)
             else:
-                yield _theta_scaled(kind, w + offset * base.tau, path)
+                value = gauss_product_theta4(base)
+            out[positions[0]] = value, 0.0
+            continue
+        w = complex(const)
+        for i, c in coeffs:
+            w += c * values[i]
+        if not use_reduction:
+            for kind, position in zip(kinds, positions):
+                out[position] = theta(kind, w + offset * base.tau, base), 0.0
+            continue
+        path = paths[slot]
+        if path is None:
+            path = paths[slot] = _path(base)
+        # a half-integer offset goes through the shift table: better
+        # accuracy than summing on the Im cell boundary
+        point = w + (offset - 0.5 if half else offset) * base.tau
+        if len(inner) == 1:
+            pairs = (_reduced_theta(inner[0], point, path),)
+        else:
+            pairs = _reduced_thetas(inner, point, path)
+        for kind, position, (value, mu) in zip(kinds, positions, pairs):
+            mantissa = value * cmath.exp(1j * mu.imag)
+            if half:
+                shift = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base).log_multiplier
+                out[position] = mantissa * cmath.exp(1j * shift.imag), mu.real + shift.real
+            else:
+                out[position] = mantissa, mu.real
+    return out
 
 
 @dataclass
@@ -215,7 +261,7 @@ class _EvalDetail:
 def _evaluate_plan(
     plan: _Plan, binding: VariableBinding, use_reduction: bool = True
 ) -> _EvalDetail:
-    values = list(_factor_values(plan, binding, use_reduction))
+    values = _factor_values(plan, binding, use_reduction)
     sides: list[list[tuple[complex, float]]] = []
     log_max = -math.inf
     finite = True
@@ -228,10 +274,10 @@ def _evaluate_plan(
                 m, s = values[i]
                 mantissa *= m
                 scale += s
-            if not (math.isfinite(mantissa.real) and math.isfinite(mantissa.imag)):
+            if not cmath.isfinite(mantissa):
                 finite = False
-            if mantissa != 0:
-                log_max = max(log_max, scale)
+            if mantissa != 0 and scale > log_max:
+                log_max = scale
             evaluated.append((mantissa, scale))
         sides.append(evaluated)
 

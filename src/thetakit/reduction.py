@@ -35,7 +35,9 @@ from .core import (
     theta_product,
     _check_index,
     _nome_sq,
+    _series,
     _theta_sum,
+    _window,
 )
 from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
 
@@ -206,6 +208,10 @@ def apply_modular_step(
 def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
     """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier.
 
+    The shift flips the sign of theta_r by (-1)^n for r in {1, 2} and by
+    (-1)^m for r in {1, 4}; theta_3 never, so r = 3 gives the bare
+    multiplier, to which _reduced_thetas adds each index's sign.
+
     ValueError where u is not finite, where the shift m*tv or m^2*tv
     overflows doubles, and where rounding leaves u0 outside the cell by
     more than Im(tv)/2 (|Im u0| > Im tv): past that no window is proven.
@@ -345,11 +351,61 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     sums here at DEFAULT_SETTINGS: in the cell that is the proven window
     N (tail below 1e-18 of the peak term), and a search only where
     rounding leaves the point just outside; _cell rejects the rest.
+
+    It keeps its own one-index walk rather than calling _reduced_thetas
+    with one index: the group kernel's per-index lists took a call from
+    3.5 to 4.6 us at default-box points (CPython 3.11, 2-core VM), a cost
+    every eval_reduced, big_theta and theta_char call would pay.
     """
     tokens, end, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
     return _theta_sum(r, u0, end, DEFAULT_SETTINGS, q2), mu + mu_cell
+
+
+def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
+    """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
+
+    The walk runs once: the S-step term of u is formed once per token and
+    each index adds its own phase to it, in _walk's order.  _cell runs
+    once, and its sign goes on per index.  Each half-integer class, a0 = 0
+    for {3, 4} and a0 = 1/2 for {1, 2}, takes one window and one series
+    pass; where both of its members are wanted, _series carries the plain
+    and the alternating sum in one loop.  ValueError as _reduced_theta.
+    """
+    tokens, end, q2 = path
+    u = complex(u)
+    rs = indices
+    mus = [0j] * len(rs)
+    for step, tv, const, perm in tokens:
+        if step is _S:
+            step_mu = const - 1j * PI * u * u / tv
+            mus = [mu + (step_mu + 0.5j * PI if r == 1 else step_mu) for r, mu in zip(rs, mus)]
+            u = u / tv
+        else:
+            mus = [mu + (const if r in (1, 2) else 0j) for r, mu in zip(rs, mus)]
+        rs = [perm[r - 1] for r in rs]
+    u0, n, m, mu_cell = _cell(3, u, end.tau)  # theta_3 never flips: the bare multiplier
+    odd_n, odd_m = n % 2 == 1, m % 2 == 1
+    flipped = mu_cell + 1j * PI
+    sums = {}
+    for r in rs:
+        if r in sums:
+            continue
+        if (r + 1 if r % 2 else r - 1) in rs:  # the other member of r's class
+            a0 = 0.5 if r < 3 else 0.0
+            window = _window(end, u0, a0, DEFAULT_SETTINGS)
+            plain, s = _series(window, a0, u0, end.tau, None, q2)
+            if r < 3:
+                sums[2], sums[1] = plain, complex(s.imag, -s.real)  # -i*s, as in _theta_sum
+            else:
+                sums[3], sums[4] = plain, s
+        else:
+            sums[r] = _theta_sum(r, u0, end, DEFAULT_SETTINGS, q2)
+    return [
+        (sums[r], mu + (flipped if (odd_n and r in (1, 2)) ^ (odd_m and r in (1, 4)) else mu_cell))
+        for r, mu in zip(rs, mus)
+    ]
 
 
 def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:

@@ -64,6 +64,15 @@ def test_tsv_export_shape():
         parse_identity(dsl, cid)
 
 
+def test_tsv_export_is_unchanged_after_hashing():
+    import hashlib
+
+    for ident in builtin_catalog():
+        hash(ident)  # caches each identity's hash outside its fields
+    digest = hashlib.sha256(catalog_tsv().encode()).hexdigest()
+    assert digest == "61bdda8eb867fc1f3dd58e88edc063311545df6a7b554ab419594b9a6a11137b"
+
+
 class TestManifest:
     def test_every_entry_well_formed_and_resolvable(self):
         known = set(catalog_ids())

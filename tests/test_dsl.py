@@ -191,3 +191,21 @@ def test_parser_never_crashes(text):
         parse_identity(text)
     except ParseError:
         pass
+
+
+def test_identities_parsed_twice_hash_and_compare_equal():
+    import pickle
+
+    text = "t1(u|tau)*t2(v|tau) = t1(u+v|2tau)*t4(u-v|2tau) + t4(u+v|2tau)*t1(u-v|2tau)"
+    a = parse_identity(text, "B")
+    b = parse_identity(text, "B")
+    assert a is not b
+    assert hash(a) == hash(b) == hash((a.id, a.lhs, a.rhs, a.variables))
+    assert a == b and {a: 1}[b] == 1
+    # the hash is cached on the first call, outside the fields
+    assert hash(a) == hash(a)
+    assert "_hash" not in repr(a) and repr(a) == repr(b)
+    assert a != parse_identity(text, "C")
+    # a pickle carries no hash: string hashes differ between processes
+    c = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in vars(c) and c == a and hash(c) == hash(a)

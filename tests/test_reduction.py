@@ -572,3 +572,62 @@ def test_reduced_routes_at_huge_im_tau_stay_finite():
         r = 1 + (i // 2) % 4
         value = eval_reduced(r, u, tau) if i % 2 else big_theta(r, u, tau)
         assert cmath.isfinite(value), (r, u, tv)
+
+
+_SUBSETS = [
+    tuple(r for r in (1, 2, 3, 4) if mask >> (r - 1) & 1) for mask in range(1, 16)
+]
+
+
+def _group_tau_u(rng, regime):
+    """A (tau, u) pair of the regime; u spans the engine's sums like 2u and u+v."""
+    if regime == "near-cusp":  # 2e-3..2e-2 from p/q, q <= 5
+        q = rng.randint(1, 5)
+        dist = rng.uniform(2e-3, 2e-2)
+        angle = rng.uniform(0.05, PI - 0.05)
+        tv = rng.randint(-2 * q, 2 * q) / q + cmath.rect(dist, angle)
+        return tv, complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    if regime == "huge-im-tau":  # the peak-tie inputs, Im u up to Im tau/2
+        tv = complex(rng.uniform(-5, 5), 10 ** rng.uniform(33, 300))
+        im_u = rng.choice((-1, 1)) * 10 ** rng.uniform(0, math.log10(tv.imag / 2))
+        return tv, complex(rng.uniform(-1, 1) * 10 ** rng.uniform(0, 300), im_u)
+    return _regime_tau(rng, regime), complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+
+def _assert_group_equals_singles(u, tau):
+    from thetakit.reduction import _path, _reduced_theta, _reduced_thetas
+
+    path = _path(tau)
+    for subset in _SUBSETS:
+        for indices in (subset, subset[::-1]):
+            want = [_reduced_theta(r, u, path) for r in indices]
+            assert repr(_reduced_thetas(indices, u, path)) == repr(want), (indices, u, tau)
+
+
+@pytest.mark.parametrize("regime", ["default", "stress", "near-cusp", "huge-im-tau"])
+def test_group_kernel_is_bit_equal_to_single_index_calls(regime):
+    rng = random.Random(f"group:{regime}")
+    for _ in range(60):
+        tv, u = _group_tau_u(rng, regime)
+        _assert_group_equals_singles(u, ModularParameter(tv))
+
+
+def test_group_kernel_keeps_a_non_finite_peak():
+    # at Im tau = 1e300 the a0 = 1/2 peak of Im u = +-0.4 Im tau saturates
+    tau = ModularParameter(1e300j)
+    for u in (0.4e300j, -0.4e300j, 0.3 + 0.45e300j):
+        assert not cmath.isfinite(eval_reduced(2, u, tau))
+        _assert_group_equals_singles(u, tau)
+
+
+@pytest.mark.parametrize("u", [1e300j, complex("inf"), complex("nan")])
+def test_group_kernel_raises_the_single_index_value_error(u):
+    from thetakit.reduction import _path, _reduced_theta, _reduced_thetas
+
+    path = _path(_I)
+    with pytest.raises(ValueError) as single:
+        _reduced_theta(3, u, path)
+    for subset in _SUBSETS:
+        with pytest.raises(ValueError) as group:
+            _reduced_thetas(subset, u, path)
+        assert str(group.value) == str(single.value)
