@@ -11,9 +11,7 @@ the command-line front end.
 from types import ModuleType as _ModuleType
 
 from .core import (
-    DEFAULT_SETTINGS,
     Characteristics,
-    EvalSettings,
     ModularParameter,
     TruncationError,
     gauss_product_theta4,

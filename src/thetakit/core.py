@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "TruncationError",
     "ModularParameter",
     "Characteristics",
-    "EvalSettings",
-    "DEFAULT_SETTINGS",
     "cexp",
     "INDEX_CHARACTERISTICS",
     "truncation_index",
@@ -49,11 +46,15 @@ _TWO_PI = 2.0 * math.pi
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0
 
+# The one accuracy of every sum and product: absolute tail target (scaled
+# by max(1, peak term) in the series) and hard cap on the terms or factors.
+_TOL = 1e-15
+_MAX_TERMS = 1000
+
 # Fixed window radius inside the reduced cell Im tau >= sqrt(3)/2,
-# |Im u| <= Im tau/2, proven for every tol >= _FIXED_TOL (see _window).
+# |Im u| <= Im tau/2, proven for every tol >= 1e-18 (see _window).
 N = 5
 _CELL_IM_TAU = math.sqrt(3.0) / 2.0
-_FIXED_TOL = 1e-18
 
 # theta_product forms sin(pi*u) and cos(pi*u) directly below this |Im u|
 # (accurate near their zeros) and as saturating exponentials above it.
@@ -121,24 +122,6 @@ class Characteristics:
             raise ValueError("characteristics must be finite reals")
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    """Accuracy knobs of the unreduced sums and products: absolute tail
-    target and hard window cap.  Reduced routes take none: they sum the
-    proven window N at DEFAULT_SETTINGS (see reduction._reduced_theta)."""
-
-    tol: float = 1e-15
-    max_terms: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_SETTINGS = EvalSettings()
-
 # index r -> (a, b, prefactor) per theta_r = prefactor * theta_{a,b}
 INDEX_CHARACTERISTICS = {
     1: (0.5, 0.5, -1.0),
@@ -153,8 +136,16 @@ def _check_index(r: int) -> None:
         raise ValueError(f"theta index must be 1..4, got {r!r}")
 
 
+def _finite_u(u: complex) -> complex:
+    """complex(u), or ValueError where it is not finite."""
+    u = complex(u)
+    if not cmath.isfinite(u):
+        raise ValueError("u must be finite")
+    return u
+
+
 def truncation_index(
-    tau: ModularParameter, u: complex, a: float, tol: float, max_terms: int = 1000
+    tau: ModularParameter, u: complex, a: float, tol: float, max_terms: int = _MAX_TERMS
 ) -> int:
     """Smallest N whose majorant tail over |k| >= N stays below tol.
 
@@ -163,12 +154,12 @@ def truncation_index(
     |q|^{2(k+a)} * e^{2*pi*|Im u|}, so the tail is summed geometrically.
     Finite for every Im(tau) > 0, but raises TruncationError when the
     needed N exceeds max_terms (reduce the arguments first), and
-    ValueError unless tol is finite and positive.
+    ValueError unless tol is finite and positive and u is finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     t = tau.tau.imag
-    y = abs(complex(u).imag)
+    y = abs(_finite_u(u).imag)
     a0 = a - round(a)  # exact series reindexing; |a0| <= 1/2
     log_q = -PI * t
     tpy = _TWO_PI * y
@@ -200,34 +191,27 @@ def _peak_log(t: float, y_signed: float, a0: float) -> float:
     return best
 
 
-def _window(tau: ModularParameter, u: complex, a: float, settings: EvalSettings) -> int:
-    """Window radius for absolute error < tol * max(1, peak term).
+def _window(tau: ModularParameter, u: complex, a: float) -> int:
+    """Window radius for absolute error < _TOL * max(1, peak term).
 
     In the reduced cell (Im tau >= sqrt(3)/2, 2*|Im u| <= Im tau) the
-    radius is the constant N, with no search, whenever tol >= _FIXED_TOL
-    and max_terms >= N.  Proof: truncation_index's majorant at the cell's
-    worst corner, Im tau = sqrt(3)/2, |Im u| = Im tau/2 and a0 = 1/2 (for
-    any a0, f(n + a0) + f(n - a0) <= f(n - 1/2) + f(n + 1/2) since the
-    one-sided tail f is convex there), is below 1e-18 at N = 5.  With
+    radius is the constant N, with no search.  Proof: truncation_index's
+    majorant at the cell's worst corner, Im tau = sqrt(3)/2, |Im u| =
+    Im tau/2 and a0 = 1/2 (for any a0, f(n + a0) + f(n - a0) <=
+    f(n - 1/2) + f(n + 1/2) since the one-sided tail f is convex there),
+    is below 1e-18, far under _TOL, at N = 5.  With
     |Im u| <= Im tau/2 every exponent of the majorant is at most
     -pi*Im tau*x*(x - 1) and -2*pi*Im tau*x at x >= 9/2, so it only
     shrinks as Im tau grows; the peak scaling only loosens the target.
-    Every other call searches.  The target tol * exp(peak) is clamped to
-    the largest double, so a huge tol at a huge peak still gives a window.
+    Every other call searches.  The peak is capped at _EXP_MAX, where the
+    target _TOL * e^709 ~ 8e292 is still a finite double.
     """
     t = tau.tau.imag
-    if (
-        t >= _CELL_IM_TAU
-        and 2.0 * abs(u.imag) <= t
-        and settings.tol >= _FIXED_TOL
-        and settings.max_terms >= N
-    ):
+    if t >= _CELL_IM_TAU and 2.0 * abs(u.imag) <= t:
         return N
     peak = _peak_log(t, u.imag, a - round(a))
-    eff_tol = settings.tol
-    if peak > 0.0:
-        eff_tol = min(eff_tol * math.exp(min(peak, _EXP_MAX)), sys.float_info.max)
-    return truncation_index(tau, u, a, eff_tol, settings.max_terms)
+    tol = _TOL * math.exp(min(peak, _EXP_MAX)) if peak > 0.0 else _TOL
+    return truncation_index(tau, u, a, tol)
 
 
 def _nome_sq(tv: complex) -> complex:
@@ -322,11 +306,11 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
                              * theta_3(u + b0 + a0*tau | tau),
 
     a0 = a - round(a), b0 = b - round(b).  theta_3 goes through
-    reduction.eval_reduced's route, at its one accuracy (no settings),
-    and the prefactor joins its log multiplier before the one
-    exponential, so the accuracy is relative, as for eval_reduced, not
-    the absolute tol * max(1, peak term) of a direct sum, and it holds at
-    every valid tau.  A u that cannot be reduced raises ValueError.
+    reduction.eval_reduced's route, and the prefactor joins its log
+    multiplier before the one exponential, so the accuracy is relative,
+    as for eval_reduced, not the absolute _TOL * max(1, peak term) of a
+    direct sum, and it holds at every valid tau.  A u that cannot be
+    reduced raises ValueError.
     """
     from . import reduction  # reduction imports this module
 
@@ -340,47 +324,38 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
 
 
-def _theta_sum(
-    r: int, u: complex, tau: ModularParameter, settings: EvalSettings, q2: complex
-) -> complex:
-    """theta(r, u, tau, settings) for a complex u, q2 = _nome_sq(tau.tau)."""
+def _theta_sum(r: int, u: complex, tau: ModularParameter, q2: complex) -> complex:
+    """theta(r, u, tau) for a finite complex u, q2 = _nome_sq(tau.tau)."""
     shift = 0.5 if r in (1, 2) else 0.0
-    n = _window(tau, u, shift, settings)
+    n = _window(tau, u, shift)
     s = _series(n, shift, u, tau.tau, r in (1, 4), q2)
     return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
 
 
-def theta(
-    r: int,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
+def theta(r: int, u: complex, tau: ModularParameter) -> complex:
     """theta_r(u|tau), r in {1,2,3,4}: theta_{a,b} at half-integer a, b.
 
-    Direct summation certifies an absolute error of tol * max(1, peak
+    Direct summation certifies an absolute error of _TOL * max(1, peak
     term), not a relative one: at tau = 0.002i, theta_1(0.625) and
     theta_2(0.125), equal in exact arithmetic, differ by 7e-6 relative.
     reduction.eval_reduced gives relative accuracy (1.1e-15 and 1.5e-13
-    against mpmath there).
+    against mpmath there).  TruncationError where the window needs more
+    than _MAX_TERMS terms (at u = 0, below Im tau ~ 1.2e-5), ValueError
+    where u is not finite.
     """
     _check_index(r)
-    return _theta_sum(r, complex(u), tau, settings, _nome_sq(tau.tau))
+    return _theta_sum(r, _finite_u(u), tau, _nome_sq(tau.tau))
 
 
-def theta_product(
-    r: int,
-    u: complex,
-    tau: ModularParameter,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> complex:
+def theta_product(r: int, u: complex, tau: ModularParameter) -> complex:
     """theta_r(u|tau) by the triple product; independent oracle for theta().
 
     Factors are multiplied until the remaining ones provably deviate
-    from 1 by less than the tolerance.
+    from 1 by less than _TOL; TruncationError past _MAX_TERMS of them,
+    ValueError where u is not finite.
     """
     _check_index(r)
-    u = complex(u)
+    u = _finite_u(u)
     tv = tau.tau
     t = tv.imag
     y = abs(u.imag)
@@ -407,7 +382,7 @@ def theta_product(
 
     # q-powers and z are combined in one exponent so extreme |Im u|
     # cannot produce 0 * inf
-    for n in range(1, settings.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         e = 2 * n - 1 if odd_exponent else 2 * n
         even = 1.0 - cexp(2j * PI * tv * n)
         plus = 1.0 + sign * cexp(1j * PI * (tv * e + 2.0 * u))
@@ -418,23 +393,21 @@ def theta_product(
         next_dev = aq2 ** (n + 1) + (
             2.0 * math.exp(log_u_dev) if log_u_dev < 0.0 else math.inf
         )
-        if next_dev / (1.0 - aq2) < settings.tol:
+        if next_dev / (1.0 - aq2) < _TOL:
             return p
     raise TruncationError(
-        f"product truncation exceeds max_terms={settings.max_terms} "
+        f"product truncation exceeds max_terms={_MAX_TERMS} "
         f"(|q|={math.sqrt(aq2):.6f} or |Im u|={y:.3g} too large); "
         "reduce the arguments first"
     )
 
 
-def theta1_prime0(
-    tau: ModularParameter, settings: EvalSettings = DEFAULT_SETTINGS
-) -> complex:
+def theta1_prime0(tau: ModularParameter) -> complex:
     """theta_1'(0|tau) by term-wise differentiation of the theta_1 series:
 
         theta_1'(0) = pi * sum_k (-1)^k (2k+1) q^{(k+1/2)^2}
     """
-    n = truncation_index(tau, 0.0, 0.5, settings.tol, settings.max_terms) + 2
+    n = truncation_index(tau, 0.0, 0.5, _TOL) + 2
     tv = tau.tau
     s = 0j
     for k in range(-n - 1, n + 1):  # pair k with -k-1 so both halves are kept
@@ -446,21 +419,17 @@ def theta1_prime0(
     return PI * s
 
 
-def theta_constants(
-    tau: ModularParameter, settings: EvalSettings = DEFAULT_SETTINGS
-) -> tuple[complex, complex, complex, complex]:
+def theta_constants(tau: ModularParameter) -> tuple[complex, complex, complex, complex]:
     """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau."""
     return (
-        theta1_prime0(tau, settings),
-        theta(2, 0.0, tau, settings),
-        theta(3, 0.0, tau, settings),
-        theta(4, 0.0, tau, settings),
+        theta1_prime0(tau),
+        theta(2, 0.0, tau),
+        theta(3, 0.0, tau),
+        theta(4, 0.0, tau),
     )
 
 
-def gauss_product_theta4(
-    tau: ModularParameter, settings: EvalSettings = DEFAULT_SETTINGS
-) -> complex:
+def gauss_product_theta4(tau: ModularParameter) -> complex:
     """theta_4(0|tau) as the alternating product prod (1-q^n)/(1+q^n).
 
     A route independent of both the series and the triple product.
@@ -470,13 +439,13 @@ def gauss_product_theta4(
     p = 1.0 + 0j
     qn = 1.0 + 0j
     an = 1.0
-    for n in range(1, settings.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         qn *= q
         an *= aq
         p *= (1.0 - qn) / (1.0 + qn)
-        if 2.0 * an * aq / (1.0 - aq) < settings.tol:
+        if 2.0 * an * aq / (1.0 - aq) < _TOL:
             return p
     raise TruncationError(
-        f"product truncation exceeds max_terms={settings.max_terms} "
+        f"product truncation exceeds max_terms={_MAX_TERMS} "
         f"(|q|={aq:.6f} too close to 1)"
     )

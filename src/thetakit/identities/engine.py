@@ -3,12 +3,12 @@
 Each identity is compiled once into a plan of plain numbers (_Plan),
 whose factors are grouped by the point where they are evaluated.  A
 trial evaluates every unique point once, for all its theta indices
-together (one reduction walk, one lattice cell, one series pass per
-half-integer class, bit-equal to one evaluation per index), by full
+together (one lattice cell and one series pass per half-integer
+class, bit-equal to one evaluation per index), by full
 reduction or, with use_reduction=False, by direct summation per
-factor, then assembles the terms.  The engine runs at one accuracy:
-every factor is evaluated at the default EvalSettings (tol 1e-15,
-max_terms 1000).
+factor, then assembles the terms.  The engine runs at the library's
+one accuracy: absolute tail target 1e-15, at most 1000 terms (core's
+_TOL and _MAX_TERMS).
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain

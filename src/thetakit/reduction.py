@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
-    DEFAULT_SETTINGS,
     PI,
     ModularParameter,
     cexp,
@@ -348,44 +347,36 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     record.new_tau) and the multiplier to record.log_multiplier,
     record = full_reduction(r, u, tau); only the record and the cache
     key are skipped, and q^2 comes from the path.  Every reduced route
-    sums here at DEFAULT_SETTINGS: in the cell that is the proven window
-    N (tail below 1e-18 of the peak term), and a search only where
-    rounding leaves the point just outside; _cell rejects the rest.
+    sums here: in the cell that is the proven window N (tail below 1e-18
+    of the peak term), and a search only where rounding leaves the point
+    just outside; _cell rejects the rest.
 
-    It keeps its own one-index walk rather than calling _reduced_thetas
-    with one index: the group kernel's per-index lists took a call from
-    3.5 to 4.6 us at default-box points (CPython 3.11, 2-core VM), a cost
-    every eval_reduced, big_theta and theta_char call would pay.
+    It does not call _reduced_thetas with one index: the group kernel's
+    per-index lists took a call from 3.5 to 4.6 us at default-box points
+    (CPython 3.11, 2-core VM), a cost every eval_reduced, big_theta and
+    theta_char call would pay.
     """
     tokens, end, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
     u0, _, _, mu_cell = _cell(r, u, end.tau)
-    return _theta_sum(r, u0, end, DEFAULT_SETTINGS, q2), mu + mu_cell
+    return _theta_sum(r, u0, end, q2), mu + mu_cell
 
 
 def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
     """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
 
-    The walk runs once: the S-step term of u is formed once per token and
-    each index adds its own phase to it, in _walk's order.  _cell runs
-    once, and its sign goes on per index.  Each half-integer class, a0 = 0
-    for {3, 4} and a0 = 1/2 for {1, 2}, takes one window and one series
-    pass; where both of its members are wanted, _series carries the plain
-    and the alternating sum in one loop.  ValueError as _reduced_theta.
+    Each index walks the word (_walk); every walk ends at the same u.
+    _cell runs once, and its sign goes on per index.  Each half-integer
+    class, a0 = 0 for {3, 4} and a0 = 1/2 for {1, 2}, takes one window and
+    one series pass; where both of its members are wanted, _series carries
+    the plain and the alternating sum in one loop.  ValueError as
+    _reduced_theta.
     """
     tokens, end, q2 = path
     u = complex(u)
-    rs = indices
-    mus = [0j] * len(rs)
-    for step, tv, const, perm in tokens:
-        if step is _S:
-            step_mu = const - 1j * PI * u * u / tv
-            mus = [mu + (step_mu + 0.5j * PI if r == 1 else step_mu) for r, mu in zip(rs, mus)]
-            u = u / tv
-        else:
-            mus = [mu + (const if r in (1, 2) else 0j) for r, mu in zip(rs, mus)]
-        rs = [perm[r - 1] for r in rs]
-    u0, n, m, mu_cell = _cell(3, u, end.tau)  # theta_3 never flips: the bare multiplier
+    walks = [_walk(tokens, r, u) for r in indices]
+    rs = [r for _, r, _ in walks]
+    u0, n, m, mu_cell = _cell(3, walks[0][2], end.tau)  # theta_3 never flips: the bare multiplier
     odd_n, odd_m = n % 2 == 1, m % 2 == 1
     flipped = mu_cell + 1j * PI
     sums = {}
@@ -394,17 +385,17 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
             continue
         if (r + 1 if r % 2 else r - 1) in rs:  # the other member of r's class
             a0 = 0.5 if r < 3 else 0.0
-            window = _window(end, u0, a0, DEFAULT_SETTINGS)
+            window = _window(end, u0, a0)
             plain, s = _series(window, a0, u0, end.tau, None, q2)
             if r < 3:
                 sums[2], sums[1] = plain, complex(s.imag, -s.real)  # -i*s, as in _theta_sum
             else:
                 sums[3], sums[4] = plain, s
         else:
-            sums[r] = _theta_sum(r, u0, end, DEFAULT_SETTINGS, q2)
+            sums[r] = _theta_sum(r, u0, end, q2)
     return [
         (sums[r], mu + (flipped if (odd_n and r in (1, 2)) ^ (odd_m and r in (1, 4)) else mu_cell))
-        for r, mu in zip(rs, mus)
+        for mu, r, _ in walks
     ]
 
 

@@ -288,7 +288,7 @@ def test_direct_theta_on_windows_over_64_terms():
         r = 1 + i % 4
         a0 = 0.5 if r in (1, 2) else 0.0
         param = ModularParameter(tau)
-        assert core._window(param, u, a0, core.DEFAULT_SETTINGS) > 64
+        assert core._window(param, u, a0) > 64
         peak = math.exp(core._peak_log(tau.imag, u.imag, a0))
         with mpmath.workdps(50):
             error = abs(mpmath.mpc(theta(r, u, param)) - reference(r, u, tau))

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -21,7 +22,6 @@ from oracles import (
 )
 from thetakit import (
     Characteristics,
-    EvalSettings,
     ModularParameter,
     TruncationError,
     gauss_product_theta4,
@@ -48,19 +48,6 @@ def test_modular_parameter_rejects_lower_half_plane():
         ModularParameter(0.3)
     with pytest.raises(ValueError):
         ModularParameter(complex("inf"))
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        EvalSettings(tol=0.0)
-    with pytest.raises(ValueError):
-        EvalSettings(max_terms=0)
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-15])
-def test_settings_reject_non_finite_or_negative_tol(tol):
-    with pytest.raises(ValueError, match="finite and positive"):
-        EvalSettings(tol=tol)
 
 
 def test_cexp_saturates_without_nan():
@@ -104,15 +91,15 @@ class TestTruncationIndex:
             truncation_index(ModularParameter(1j), 0.3, 0.0, tol)
 
     def test_huge_tol_at_huge_peak_still_gives_a_window(self):
-        # peak ~ pi*|Im u|^2/Im tau ~ 708.8, so tol * exp(peak) overflows;
-        # the window target is clamped to the largest double instead
+        # peak ~ pi*|Im u|^2/Im tau ~ 708.8: the window target
+        # 1e-15 * exp(peak) ~ 1e293 is huge but still a finite double
         tau = ModularParameter(1j)
         u = 15.02j
-        settings = EvalSettings(tol=10.0)
-        assert 10.0 * math.exp(core._peak_log(1.0, u.imag, 0.0)) == math.inf
-        n = core._window(tau, u, 0.0, settings)
-        assert n == truncation_index(tau, u, 0.0, sys.float_info.max)
-        assert isinstance(theta(3, u, tau, settings), complex)
+        peak = core._peak_log(1.0, u.imag, 0.0)
+        assert 708.0 < peak < core._EXP_MAX
+        n = core._window(tau, u, 0.0)
+        assert n == truncation_index(tau, u, 0.0, core._TOL * math.exp(peak))
+        assert isinstance(theta(3, u, tau), complex)
 
     def test_majorant_actually_bounds_the_tail(self, rng):
         for _ in range(25):
@@ -148,22 +135,13 @@ class TestFixedWindowKernel:
         t = self.CORNER
         tau = ModularParameter(complex(-0.5, t))
         u = complex(0.1, -t / 2)
-        assert core._window(tau, u, 0.5, EvalSettings(tol=1e-18)) == core.N
-        assert core._window(tau, u, 0.5, EvalSettings(tol=1e-15, max_terms=5)) == core.N
-        # a tighter tol, |Im u| past the cell or a lower tau searches
-        searched = [
-            (tau, u, EvalSettings(tol=1e-19)),
-            (tau, u * 1.01, EvalSettings()),
-            (ModularParameter(0.5 + 0.8j), 0.3 + 0.1j, EvalSettings()),
-        ]
-        for point, arg, settings in searched:
+        assert core._window(tau, u, 0.5) == core.N
+        # |Im u| past the cell or a lower tau searches
+        searched = [(tau, u * 1.01), (ModularParameter(0.5 + 0.8j), 0.3 + 0.1j)]
+        for point, arg in searched:
             peak = core._peak_log(point.tau.imag, arg.imag, 0.5)
-            target = settings.tol * max(1.0, math.exp(peak))
-            want = truncation_index(point, arg, 0.5, target, settings.max_terms)
-            assert core._window(point, arg, 0.5, settings) == want
-        # so does a cap below N, which the corner needs in full
-        with pytest.raises(TruncationError):
-            core._window(tau, u, 0.5, EvalSettings(max_terms=core.N - 1))
+            target = core._TOL * max(1.0, math.exp(peak))
+            assert core._window(point, arg, 0.5) == truncation_index(point, arg, 0.5, target)
 
     def test_recurrence_matches_series_oracle_at_reduced_points(self, rng):
         for _ in range(40):
@@ -186,7 +164,7 @@ class TestFixedWindowKernel:
             u = random_point(rng)
             for r in (1, 2, 3, 4):
                 a0 = 0.5 if r in (1, 2) else 0.0
-                n = core._window(tau, u, a0, core.DEFAULT_SETTINGS)
+                n = core._window(tau, u, a0)
                 assert n <= 64
                 peak = math.exp(core._peak_log(tau.tau.imag, u.imag, a0))
                 got = theta(r, u, tau)
@@ -249,18 +227,17 @@ class TestThetaChar:
     def test_wide_window_vectorized_path(self):
         # tau small enough that the window exceeds the loop cutoff
         tau = ModularParameter(0.002j)
-        settings = EvalSettings(max_terms=100000)
         got = theta_char(Characteristics(0.0, 0.0), 0.125, tau)
         want = theta_char_series(0.0, 0.0, 0.125, tau.tau, n=200)
         assert got == pytest.approx(want, rel=1e-10)
         # theta_char reduces first; the wide window is theta's direct sum
-        assert core._window(tau, 0.125 + 0j, 0.0, settings) > 64
-        assert theta(3, 0.125, tau, settings) == pytest.approx(want, rel=1e-10)
+        assert core._window(tau, 0.125 + 0j, 0.0) > 64
+        assert theta(3, 0.125, tau) == pytest.approx(want, rel=1e-10)
         # r = 1, 4 take the alternating-sign recurrence; at u + 1/2 they
         # are as large as theta_2, theta_3 at u, not exponentially small
         for r in (1, 2, 3, 4):
             u = 0.125 + (0.5 if r in (1, 4) else 0.0)
-            got_r = theta(r, u, tau, settings)
+            got_r = theta(r, u, tau)
             want_r = theta_series(r, u, tau.tau, n=200)
             assert got_r == pytest.approx(want_r, rel=1e-10), r
 
@@ -307,7 +284,7 @@ class TestTheta:
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_parity(self, rng):
-        tol = 2 * EvalSettings().tol
+        tol = 2 * core._TOL
         for _ in range(100):
             tau = random_tau(rng)
             u = random_point(rng)
@@ -352,35 +329,45 @@ class TestThetaProduct:
 
     def test_nome_too_close_to_one(self):
         with pytest.raises(TruncationError):
-            theta_product(3, 0.0, ModularParameter(1e-5j), EvalSettings(max_terms=500))
+            theta_product(3, 0.0, ModularParameter(1e-5j))
 
 
 def test_settings_reach_only_the_unreduced_routes():
+    # no route takes an accuracy knob any more: the direct ones run at one
+    # accuracy, whose 1000-term cap binds at tau = 1e-5i (not at 2e-5i)
     import inspect
 
-    from thetakit import notation, reduction
-
-    for func in (
-        reduction.eval_reduced,
-        reduction.eval_reduced_product,
-        reduction._reduced_theta,
-        theta_char,
-        notation.elliptic_k,
-        notation.big_theta,
-        notation.convert_characteristics,
-    ):
-        assert "settings" not in inspect.signature(func).parameters, func.__name__
-    capped = EvalSettings(max_terms=2)
-    tau = ModularParameter(0.01j)
+    for name in thetakit.__all__:
+        func = getattr(thetakit, name)
+        if callable(func) and not inspect.isclass(func):
+            assert "settings" not in inspect.signature(func).parameters, name
+    tau = ModularParameter(1e-5j)
     for call in (
-        lambda: theta(3, 0.1, tau, capped),
-        lambda: theta_product(3, 0.1, tau, capped),
-        lambda: theta1_prime0(tau, capped),
-        lambda: theta_constants(tau, capped),
-        lambda: gauss_product_theta4(tau, capped),
+        lambda: theta(3, 0.1, tau),
+        lambda: theta_product(3, 0.1, tau),
+        lambda: theta1_prime0(tau),
+        lambda: theta_constants(tau),
+        lambda: gauss_product_theta4(tau),
     ):
         with pytest.raises(TruncationError):
             call()
+    assert cmath.isfinite(theta(3, 0.1, ModularParameter(2e-5j)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta(3, complex(0.0, math.inf), ModularParameter(1j)),
+        lambda: theta(3, math.nan, ModularParameter(1j)),
+        lambda: theta(3, math.inf, ModularParameter(1j)),
+        lambda: theta_product(3, math.nan, ModularParameter(1j)),
+        lambda: truncation_index(ModularParameter(1j), math.inf * 1j, 0.0, 1e-15),
+    ],
+    ids=["theta-inf-im", "theta-nan", "theta-inf", "product-nan", "truncation-index-inf-im"],
+)
+def test_direct_routes_reject_a_non_finite_u(call):
+    with pytest.raises(ValueError, match="u must be finite"):
+        call()
 
 
 class TestThetaConstants:
@@ -427,3 +414,40 @@ def test_gauss_product_matches_series(rng):
         assert abs(got - series) <= 1e-12 * (1.0 + abs(series))
         want = gauss_product(tau.tau)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# sha256 of the reprs below, taken before the accuracy knob was retired
+UNREDUCED_BITS_SHA256 = "ebf52bb09e6e569c17119f26a639fd0095c5145a03a2baeab6bbcc83841c9c23"
+
+
+def test_unreduced_values_are_pinned_bit_for_bit():
+    # every direct route on seeded points: Im tau in [0.05, 2] for all of
+    # them (the cell's fixed window and short searched ones), theta with
+    # the theta constants at Im tau ~ 2e-3 (windows over 64 terms), and
+    # theta at large |Im u|
+    import hashlib
+
+    rng = random.Random("unreduced bits")
+    digest = hashlib.sha256()
+    for _ in range(12):
+        tau = random_tau(rng, im=(0.05, 2.0))
+        u = random_point(rng)
+        values = [theta(r, u, tau) for r in (1, 2, 3, 4)]
+        values += [theta_product(r, u, tau) for r in (1, 2, 3, 4)]
+        values += [theta1_prime0(tau), theta_constants(tau), gauss_product_theta4(tau)]
+        digest.update(repr(values).encode())
+    for _ in range(8):
+        tau = random_tau(rng, im=(1.8e-3, 2.2e-3))
+        u = rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * tau.tau
+        for a0 in (0.0, 0.5):
+            peak = core._peak_log(tau.tau.imag, u.imag, a0)
+            assert truncation_index(tau, u, a0, 1e-15 * max(1.0, math.exp(peak))) > 64
+        values = [theta(r, u, tau) for r in (1, 2, 3, 4)]
+        values += [theta1_prime0(tau), theta_constants(tau)]
+        digest.update(repr(values).encode())
+    for _ in range(12):
+        # |Im u| up to 4: peak terms far above 1, which widen the window
+        tau = random_tau(rng, im=(0.05, 1.0))
+        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-4.0, 4.0))
+        digest.update(repr([theta(r, u, tau) for r in (1, 2, 3, 4)]).encode())
+    assert digest.hexdigest() == UNREDUCED_BITS_SHA256

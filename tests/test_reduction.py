@@ -328,12 +328,9 @@ class TestEvalReduced:
         # on the imaginary axis with Re tau = 0 the direct terms are all
         # positive, so the wide-window direct sum is a valid slow oracle
         # (hundreds of terms where the reduced path needs a handful)
-        from thetakit import EvalSettings
-
         upright = ModularParameter(0.002j)
-        wide = EvalSettings(max_terms=100000)
         got = eval_reduced(3, 0.3j, upright)
-        want = theta(3, 0.3j, upright, wide)
+        want = theta(3, 0.3j, upright)
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_matches_trustworthy_direct_summation(self, rng):
