@@ -320,7 +320,8 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     w = u + (chars.b - round(chars.b)) + a0 * tv
     if math.isfinite(w.real):  # else the reduction raises its ValueError
         w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
-    value, mu = reduction._reduced_theta(3, w, reduction._path(tau))
+    path = reduction._tau_path(tv, math.copysign(1.0, tv.real))  # reduction._path, inline
+    value, mu = reduction._reduced_theta(3, w, path)
     return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
 
 
@@ -352,7 +353,8 @@ def theta_product(r: int, u: complex, tau: ModularParameter) -> complex:
 
     Factors are multiplied until the remaining ones provably deviate
     from 1 by less than _TOL; TruncationError past _MAX_TERMS of them,
-    ValueError where u is not finite.
+    ValueError where u is not finite and where the product overflows
+    doubles (a saturated factor would turn it into inf * 0 = nan).
     """
     _check_index(r)
     u = _finite_u(u)
@@ -394,6 +396,11 @@ def theta_product(r: int, u: complex, tau: ModularParameter) -> complex:
             2.0 * math.exp(log_u_dev) if log_u_dev < 0.0 else math.inf
         )
         if next_dev / (1.0 - aq2) < _TOL:
+            if not cmath.isfinite(p):
+                raise ValueError(
+                    f"theta_{r}(u|tau) overflows doubles at u={u!r}, tau={tv!r}: "
+                    "the triple product leaves the double range"
+                )
             return p
     raise TruncationError(
         f"product truncation exceeds max_terms={_MAX_TERMS} "
@@ -420,13 +427,16 @@ def theta1_prime0(tau: ModularParameter) -> complex:
 
 
 def theta_constants(tau: ModularParameter) -> tuple[complex, complex, complex, complex]:
-    """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau."""
-    return (
-        theta1_prime0(tau),
-        theta(2, 0.0, tau),
-        theta(3, 0.0, tau),
-        theta(4, 0.0, tau),
-    )
+    """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau.
+
+    theta_3(0) and theta_4(0) share a0 = 0 and so one window: one paired
+    _series pass sums both, bit-equal to theta(3, 0, tau) and theta(4, 0, tau).
+    """
+    prime = theta1_prime0(tau)
+    q2 = _nome_sq(tau.tau)
+    t2 = _theta_sum(2, 0j, tau, q2)
+    t3, t4 = _series(_window(tau, 0j, 0.0), 0.0, 0j, tau.tau, None, q2)
+    return prime, t2, t3, t4
 
 
 def gauss_product_theta4(tau: ModularParameter) -> complex:

@@ -7,7 +7,9 @@ by generator moves T^k: tau -> tau+k and S: tau -> -1/tau, and u into the
 centred lattice cell |Re u0| <= 1/2, |Im u0| <= Im(tau)/2.  A translation
 run is one word token k, so reduction cost grows with the S steps only.
 _tau_path walks a new tau once, building the word's tokens and its end
-together; reduce_tau, full_reduction and the evaluators read that walk.
+(a plain complex) together; reduce_tau, full_reduction and the evaluators
+read that walk, and only the public routes wrap the end in a
+ModularParameter.
 
 A move, or a whole reduction, is a ThetaTransformRecord: an index
 permutation plus a log-form multiplier mu with
@@ -28,14 +30,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
+    N,
     PI,
     ModularParameter,
     cexp,
     theta_product,
+    _CELL_IM_TAU,
     _check_index,
     _nome_sq,
     _series,
-    _theta_sum,
     _window,
 )
 from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
@@ -152,10 +155,11 @@ def in_fundamental_domain(tau: complex, slack: float = 1e-12) -> bool:
 def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
     """(end, word): the generator word taking tau into the fundamental
     domain, read from _tau_path's cached walk (ValueError where -1/tau
-    overflows).  Boundary ties (|tau| = 1 or |Re tau| = 1/2) are
-    accepted as-is; uniqueness is not needed for evaluation."""
+    overflows), with the walk's plain-complex end wrapped here.  Boundary
+    ties (|tau| = 1 or |Re tau| = 1/2) are accepted as-is; uniqueness is
+    not needed for evaluation."""
     tokens, end, _ = _path(tau)
-    return end, tuple(token[0] for token in tokens)
+    return ModularParameter(end), tuple(token[0] for token in tokens)
 
 
 def _token(step: ModularStep | int, tv: complex) -> tuple:
@@ -288,6 +292,10 @@ def half_period_shift(
 def _tau_path(tv: complex, re_sign: float) -> tuple:
     """(tokens, end, q2): the one walk of tau = tv into the fundamental domain.
 
+    end is a plain complex, finite with Im > 0 by the walk itself, so a
+    new tau builds no ModularParameter; reduce_tau and full_reduction
+    wrap it on their way out.
+
     Keyed by value, (tau.tau, copysign(1.0, Re tau)), not by the
     ModularParameter, whose generated __hash__ and __eq__ run Python code
     on every lookup.  re_sign keeps Re tau = 0.0 and -0.0 apart: equal
@@ -298,7 +306,7 @@ def _tau_path(tv: complex, re_sign: float) -> tuple:
     and the result is at most 1/2.  Each S step is one token and
     t = -1/t.  The walk ends once |t| >= 1 and terminates because every
     S step strictly increases Im(t) while |t| < 1.  The tokens are
-    _token's; q2 = _nome_sq(end.tau) (see core._series).
+    _token's; q2 = _nome_sq(end) (see core._series).
     """
     t = tv
     tokens = []
@@ -308,7 +316,7 @@ def _tau_path(tv: complex, re_sign: float) -> tuple:
             tokens.append(_token(-shift, t))
             t -= shift
         if abs(t) >= 1.0:
-            return tuple(tokens), ModularParameter(t), _nome_sq(t)
+            return tuple(tokens), t, _nome_sq(t)
         tokens.append(_token(_S, t))
         t = -1.0 / t
         if not cmath.isfinite(t):
@@ -336,8 +344,8 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
     for token in tokens:
         index_map = tuple(token[3][i - 1] for i in index_map)
     mu, r, u = _walk(tokens, r, complex(u))
-    u0, _, _, mu_cell = _cell(r, u, end.tau)
-    return ThetaTransformRecord(index_map, mu + mu_cell, u0, end)
+    u0, _, _, mu_cell = _cell(r, u, end)
+    return ThetaTransformRecord(index_map, mu + mu_cell, u0, ModularParameter(end))
 
 
 def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
@@ -347,52 +355,77 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     record.new_tau) and the multiplier to record.log_multiplier,
     record = full_reduction(r, u, tau); only the record and the cache
     key are skipped, and q^2 comes from the path.  Every reduced route
-    sums here: in the cell that is the proven window N (tail below 1e-18
-    of the peak term), and a search only where rounding leaves the point
-    just outside; _cell rejects the rest.
+    sums here.  One call does the walk, _cell's arithmetic and the fixed
+    window test inline, then one _series call: in the cell that is the
+    proven window N (tail below 1e-18 of the peak term, core._window),
+    and _window searches, at a ModularParameter built for it, only where
+    rounding leaves the point just outside.  _cell runs only to raise
+    its ValueError for a u that cannot be reduced.
 
     It does not call _reduced_thetas with one index: the group kernel's
     per-index lists took a call from 3.5 to 4.6 us at default-box points
     (CPython 3.11, 2-core VM), a cost every eval_reduced, big_theta and
     theta_char call would pay.
     """
-    tokens, end, q2 = path
+    tokens, tv, q2 = path
     mu, r, u = _walk(tokens, r, complex(u))
-    u0, _, _, mu_cell = _cell(r, u, end.tau)
-    return _theta_sum(r, u0, end, q2), mu + mu_cell
+    try:  # _cell, inline
+        m = round(u.imag / tv.imag)
+        u1 = u - m * tv
+        n = round(u1.real)
+        u0 = u1 - n
+        mu_cell = -1j * PI * (2 * m * u0 + m * m * tv)
+    except (OverflowError, ValueError):
+        _cell(r, u, tv)  # raises its ValueError
+        raise
+    if abs(u0.imag) > tv.imag:
+        _cell(r, u, tv)  # raises: outside the cell
+    if ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4)):
+        mu_cell += 1j * PI
+    a0 = 0.5 if r < 3 else 0.0
+    if tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag:
+        window = N
+    else:
+        window = _window(ModularParameter(tv), u0, a0)
+    s = _series(window, a0, u0, tv, r in (1, 4), q2)
+    return (complex(s.imag, -s.real) if r == 1 else s), mu + mu_cell  # -i*s for r = 1
 
 
 def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
     """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
 
     Each index walks the word (_walk); every walk ends at the same u.
-    _cell runs once, and its sign goes on per index.  Each half-integer
-    class, a0 = 0 for {3, 4} and a0 = 1/2 for {1, 2}, takes one window and
-    one series pass; where both of its members are wanted, _series carries
-    the plain and the alternating sum in one loop.  ValueError as
-    _reduced_theta.
+    _cell runs once, and its sign goes on per index.  The fixed window
+    test is _reduced_theta's, and only off it is a ModularParameter built
+    for _window.  Each half-integer class, a0 = 0 for {3, 4} and a0 = 1/2
+    for {1, 2}, takes one window and one series pass; where both of its
+    members are wanted, _series carries the plain and the alternating sum
+    in one loop.  ValueError as _reduced_theta.
     """
-    tokens, end, q2 = path
+    tokens, tv, q2 = path
     u = complex(u)
     walks = [_walk(tokens, r, u) for r in indices]
     rs = [r for _, r, _ in walks]
-    u0, n, m, mu_cell = _cell(3, walks[0][2], end.tau)  # theta_3 never flips: the bare multiplier
+    u0, n, m, mu_cell = _cell(3, walks[0][2], tv)  # theta_3 never flips: the bare multiplier
     odd_n, odd_m = n % 2 == 1, m % 2 == 1
     flipped = mu_cell + 1j * PI
+    fixed = tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag
+    tau = None if fixed else ModularParameter(tv)  # for _window only
     sums = {}
     for r in rs:
         if r in sums:
             continue
+        a0 = 0.5 if r < 3 else 0.0
+        window = N if fixed else _window(tau, u0, a0)
         if (r + 1 if r % 2 else r - 1) in rs:  # the other member of r's class
-            a0 = 0.5 if r < 3 else 0.0
-            window = _window(end, u0, a0)
-            plain, s = _series(window, a0, u0, end.tau, None, q2)
+            plain, s = _series(window, a0, u0, tv, None, q2)
             if r < 3:
-                sums[2], sums[1] = plain, complex(s.imag, -s.real)  # -i*s, as in _theta_sum
+                sums[2], sums[1] = plain, complex(s.imag, -s.real)  # -i*s, as for r = 1 alone
             else:
                 sums[3], sums[4] = plain, s
         else:
-            sums[r] = _theta_sum(r, u0, end, q2)
+            s = _series(window, a0, u0, tv, r in (1, 4), q2)
+            sums[r] = complex(s.imag, -s.real) if r == 1 else s
     return [
         (sums[r], mu + (flipped if (odd_n and r in (1, 2)) ^ (odd_m and r in (1, 4)) else mu_cell))
         for mu, r, _ in walks
@@ -406,10 +439,13 @@ def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     where direct summation would need thousands of terms or overflow.
     The returned value itself can still overflow the double range for
     extreme arguments; use full_reduction directly to stay in log form.
-    ValueError where u cannot be reduced (see _cell).
+    ValueError where u cannot be reduced (see _cell).  The cached path
+    is read by value here, with no _path call, and a new tau inside the
+    cell builds no ModularParameter on the way to _series.
     """
     _check_index(r)
-    value, mu = _reduced_theta(r, u, _path(tau))
+    tv = tau.tau
+    value, mu = _reduced_theta(r, u, _tau_path(tv, math.copysign(1.0, tv.real)))
     return cexp(mu) * value
 
 

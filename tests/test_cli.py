@@ -294,6 +294,20 @@ class TestReduceCommand:
         out = capsys.readouterr().out
         assert "log_mult" in out and "index" in out
 
+    # sha256 of the stdout, pinned while the walk's end was still built
+    # as a ModularParameter: default, near-cusp (4e-3 from 1/3), large Re tau
+    @pytest.mark.parametrize(
+        "tau,digest",
+        [
+            ("0.3+0.8i", "78c89cb3fe7e54b5ec33bc24e30477031b7dbd8ffe562417c8ed3a77bfccf77a"),
+            ("0.33333+0.004i", "7dbde8d4cffbc4f5e03d41cbeaa02b871e8b810aefd8b0e61cd4ca210e0c33a2"),
+            ("-712.4+1.3i", "50d7471cbdb6d54be8cd60418510a6c8d0950b5db0473c9019b0b2d68ca520ba"),
+        ],
+    )
+    def test_stdout_is_pinned(self, tau, digest, capsys):
+        assert main(["reduce", f"--tau={tau}", "--u", "0.7-0.4i", "--r", "1"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestFlagConflicts:
     def test_char_with_big_theta_rejected(self, capsys):

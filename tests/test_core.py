@@ -331,6 +331,18 @@ class TestThetaProduct:
         with pytest.raises(TruncationError):
             theta_product(3, 0.0, ModularParameter(1e-5j))
 
+    @pytest.mark.parametrize("r,u", [(3, 15.1j), (3, 40j), (3, 250j), (2, 0.3 + 15.1j)])
+    def test_overflow_raises_not_nan(self, r, u):
+        # the running product saturates and a later factor made inf * 0 = nan
+        with pytest.raises(ValueError, match="overflows doubles"):
+            theta_product(r, u, ModularParameter(1j))
+
+    def test_largest_finite_value_still_agrees(self):
+        tau = ModularParameter(1j)
+        value = theta_product(3, 15.0j, tau)
+        assert value == pytest.approx(theta(3, 15.0j, tau), rel=1e-13)
+        assert value.real == pytest.approx(1.0488e307, rel=1e-4)
+
 
 def test_settings_reach_only_the_unreduced_routes():
     # no route takes an accuracy knob any more: the direct ones run at one
@@ -404,6 +416,13 @@ class TestThetaConstants:
             tau = random_tau(rng)
             _, c2, c3, c4 = theta_constants(tau)
             assert abs(c3 ** 4 - c2 ** 4 - c4 ** 4) <= 1e-11 * abs(c3 ** 4)
+
+    def test_paired_pass_is_bit_equal_to_theta(self, rng):
+        # theta_3(0) and theta_4(0) come from one paired series pass
+        for _ in range(300):
+            tau = ModularParameter(complex(rng.uniform(-1, 1), 3e-5 * (10 / 3e-5) ** rng.random()))
+            want = tuple(theta(r, 0.0, tau) for r in (2, 3, 4))
+            assert repr(theta_constants(tau)[1:]) == repr(want), tau
 
 
 def test_gauss_product_matches_series(rng):

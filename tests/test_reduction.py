@@ -1,8 +1,10 @@
 """Modulus/argument reduction: records, words, shifts, zeros, round trips."""
 
 import cmath
+import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -628,3 +630,87 @@ def test_group_kernel_raises_the_single_index_value_error(u):
         with pytest.raises(ValueError) as group:
             _reduced_thetas(subset, u, path)
         assert str(group.value) == str(single.value)
+
+
+def _scatter_call(rng, regime):
+    """(r, u, tau) drawn like one eval-scatter call of the given regime."""
+    r = rng.randint(1, 4)
+    box_u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    default_tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
+    if regime == "default":
+        return r, box_u, default_tau
+    if regime == "large-im-u":  # up to 0.9 of the |Im u| where theta_r overflows
+        overflow = math.sqrt(math.log(sys.float_info.max) * default_tau.imag / PI)
+        im_u = rng.choice((-1.0, 1.0)) * 0.5 * (0.9 * overflow / 0.5) ** rng.random()
+        return r, complex(box_u.real, im_u), default_tau
+    if regime == "large-re":
+        re_tau = rng.choice((-1.0, 1.0)) * 1e3 ** rng.random()
+        return r, box_u, complex(re_tau, default_tau.imag)
+    if regime == "stress":
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(1e-3, 0.1))
+    else:  # near-cusp: 2e-3..2e-2 from p/q, q <= 5
+        den = rng.randint(1, 5)
+        dist = 2e-3 * 10 ** rng.random()
+        tau = rng.randint(-den, den) / den + dist * cmath.exp(1j * rng.uniform(PI / 6, 5 * PI / 6))
+    return r, rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * tau, tau
+
+
+# sha256 of the repr of eval_reduced at 300 fresh taus per regime, pinned
+# before the reduced kernel stopped building a ModularParameter per path
+SCATTER_BITS_SHA256 = {
+    "default": "ace587edbc324689b54c385c1a9e2ac75232152c3208d497f6d81e3c42ca5404",
+    "stress": "8faf3960bdcd9945a450e40928088138c952f10fe40ff035621fb6ed1be4bfdc",
+    "near-cusp": "f81cbdcf04cb1cb68c96c846ab3a2345cc3269f9c4854e143de6bc45b8b349e9",
+    "large-im-u": "534be36fcfb5c49919296f4ec347e172f54761c996c69502f0c5f4bb6777dd48",
+    "large-re": "9129c662fb241bf74f959914f3b32d7dad7d96bc4cbb904090cf6aa58b1e8b91",
+}
+
+
+@pytest.mark.parametrize("regime", sorted(SCATTER_BITS_SHA256))
+def test_fresh_tau_values_are_pinned(regime):
+    rng = random.Random(f"scatter-pin:{regime}")
+    digest = hashlib.sha256()
+    for _ in range(300):
+        r, u, tau = _scatter_call(rng, regime)
+        digest.update(repr(eval_reduced(r, u, ModularParameter(tau))).encode())
+    assert digest.hexdigest() == SCATTER_BITS_SHA256[regime]
+
+
+def test_fresh_tau_in_the_cell_builds_no_modular_parameter(monkeypatch):
+    from thetakit.reduction import _tau_path
+
+    rng = random.Random("no-parameter")
+    calls = [
+        (rng.randint(1, 4), random_point(rng), ModularParameter(_regime_tau(rng, regime)))
+        for regime in ("default", "stress", "large-re")
+        for _ in range(40)
+    ]
+    built = []
+    post_init = ModularParameter.__post_init__
+
+    def counting(self):
+        built.append(self.tau)
+        post_init(self)
+
+    monkeypatch.setattr(ModularParameter, "__post_init__", counting)
+    misses = _tau_path.cache_info().misses
+    for r, u, tau in calls:
+        eval_reduced(r, u, tau)
+    assert _tau_path.cache_info().misses == misses + len(calls)  # every tau is new
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "tau,end",
+    [
+        (0.3 + 0.8j, -0.41095890410958896 + 1.095890410958904j),
+        (0.33333 + 0.004j, -0.3101852012602647 + 27.777758487667725j),
+        (-712.4 + 1.3j, -0.39999999999997726 + 1.3j),
+        (0.5j, 2j),
+    ],
+)
+def test_public_routes_still_return_a_modular_parameter(tau, end):
+    tau = ModularParameter(tau)
+    for got in (reduce_tau(tau)[0], full_reduction(2, 0.7 - 0.4j, tau).new_tau):
+        assert type(got) is ModularParameter
+        assert repr(got) == repr(ModularParameter(end))
