@@ -87,6 +87,32 @@ def _char_arg(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"bad characteristics {text!r}") from None
 
 
+# options whose value can start with '-': argparse reads any such token
+# that is not a plain negative number ('-0.5+0.1i', '-0.25,0.5') as an option
+_LITERAL_OPTIONS = {"--u": parse_complex, "--tau": parse_complex, "--char": _char_arg}
+
+
+def _attach_literals(argv: list[str]) -> list[str]:
+    """argv with '--u -0.5+0.1i' written as '--u=-0.5+0.1i' where the value
+    parses as that option's literal; any other value, or a missing one,
+    reaches argparse as it was and gets argparse's own usage error."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        parse = _LITERAL_OPTIONS.get(token)
+        value = None if parse is None else next(tokens, None)
+        if value is None:
+            out.append(token)
+            continue
+        try:
+            parse(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            out += [token, value]
+        else:
+            out.append(f"{token}={value}")
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetakit",
@@ -302,7 +328,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # raised by _modular with a code

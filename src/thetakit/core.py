@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 __all__ = [
     "PI",
@@ -42,6 +43,7 @@ __all__ = [
 
 PI = math.pi
 _TWO_PI = 2.0 * math.pi
+_IPI = 1j * PI
 
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0
@@ -248,37 +250,62 @@ def _series(
     exact zero, which no sum started at 0j can keep), and each
     accumulator makes the same additions in the same order as its own
     one-sum call: both results are bit-equal to alternating=False and True.
+
+    Rewrites of this body that keep every bit (the same operands in the
+    same order): hoisting a constant such as _IPI or 2.0*x0 and 2.0*v,
+    which the left-to-right products already formed; inlining cexp's
+    test; clamping by comparisons instead of min(max(...)); writing the
+    two directions out; looping over itertools.repeat.  Rewrites that
+    move bits, and so need a re-pin and an accuracy check: the down
+    ratio as q2/ratio_up; exp(pi*i*tv*x0^2) cached per tau; summing even
+    and odd k apart; dropping terms that look negligible; and 0j + x -> x
+    (0j + -0.0 is +0.0), in the callers too.
     """
-    ipi = 1j * PI
-    c = min(max(-v.imag / tv.imag - a0, -n), n)
+    c = -v.imag / tv.imag - a0
+    if c < -n:
+        c = -n
+    elif c > n:
+        c = n
     k0 = round(c)
     if abs(c - k0) == 0.5 and v.imag:
         k0 = math.floor(c) if v.imag > 0.0 else math.ceil(c)
     x0 = k0 + a0
-    peak = cexp(ipi * (tv * x0 * x0 + 2.0 * x0 * v))
-    steps_expos = (
-        (n - k0, tv * (2.0 * x0 + 1.0) + 2.0 * v),  # x0 -> x0 + 1
-        (n + k0, tv * (1.0 - 2.0 * x0) - 2.0 * v),  # x0 -> x0 - 1
-    )
+    x2 = 2.0 * x0
+    v2 = 2.0 * v
+    z = _IPI * (tv * x0 * x0 + x2 * v)
+    peak = cmath.exp(z) if z.real <= _EXP_MAX else cexp(z)
+    up, down = n - k0, n + k0  # steps x0 -> x0 + 1 and x0 -> x0 - 1
     if alternating is None:
         alt_peak = -peak if k0 & 1 else peak
         if not cmath.isfinite(peak):
             return peak, alt_peak
         s = a = 0j
-        for steps, step_expo in steps_expos:
-            if steps:
-                term = peak
-                ratio = cmath.exp(ipi * step_expo)
-                odd = not k0 & 1  # the parity of the first k stepped to
-                for _ in range(steps):
-                    term *= ratio
-                    ratio *= q2
-                    s += term
-                    if odd:
-                        a -= term
-                    else:
-                        a += term
-                    odd = not odd
+        if up:
+            term = peak
+            ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
+            odd = not k0 & 1  # the parity of the first k stepped to
+            for _ in repeat(None, up):
+                term *= ratio
+                ratio *= q2
+                s += term
+                if odd:
+                    a -= term
+                else:
+                    a += term
+                odd = not odd
+        if down:
+            term = peak
+            ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
+            odd = not k0 & 1
+            for _ in repeat(None, down):
+                term *= ratio
+                ratio *= q2
+                s += term
+                if odd:
+                    a -= term
+                else:
+                    a += term
+                odd = not odd
         return peak + s, alt_peak + a
     if alternating and (k0 & 1):
         peak = -peak
@@ -286,16 +313,24 @@ def _series(
         return peak
     # |ratio| <= 1: cmath.exp cannot overflow on it
     s = 0j
-    for steps, step_expo in steps_expos:
-        if steps:
-            term = peak
-            ratio = cmath.exp(ipi * step_expo)
-            if alternating:
-                ratio = -ratio
-            for _ in range(steps):
-                term *= ratio
-                ratio *= q2
-                s += term
+    if up:
+        term = peak
+        ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
+        if alternating:
+            ratio = -ratio
+        for _ in repeat(None, up):
+            term *= ratio
+            ratio *= q2
+            s += term
+    if down:
+        term = peak
+        ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
+        if alternating:
+            ratio = -ratio
+        for _ in repeat(None, down):
+            term *= ratio
+            ratio *= q2
+            s += term
     return peak + s
 
 
@@ -312,8 +347,6 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     direct sum, and it holds at every valid tau.  A u that cannot be
     reduced raises ValueError.
     """
-    from . import reduction  # reduction imports this module
-
     u = complex(u)
     tv = tau.tau
     a0 = chars.a - round(chars.a)
@@ -322,7 +355,8 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
         w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
     path = reduction._tau_path(tv, math.copysign(1.0, tv.real))  # reduction._path, inline
     value, mu = reduction._reduced_theta(3, w, path)
-    return value * cexp(mu + 1j * PI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b)))
+    z = mu + _IPI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b))
+    return value * (cmath.exp(z) if z.real <= _EXP_MAX else cexp(z))
 
 
 def _theta_sum(r: int, u: complex, tau: ModularParameter, q2: complex) -> complex:
@@ -459,3 +493,7 @@ def gauss_product_theta4(tau: ModularParameter) -> complex:
         f"product truncation exceeds max_terms={_MAX_TERMS} "
         f"(|q|={aq:.6f} too close to 1)"
     )
+
+
+# reduction imports this module, so it comes last; theta_char reads it
+from . import reduction  # noqa: E402

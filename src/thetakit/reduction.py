@@ -36,6 +36,7 @@ from .core import (
     cexp,
     theta_product,
     _CELL_IM_TAU,
+    _EXP_MAX,
     _check_index,
     _nome_sq,
     _series,
@@ -363,12 +364,16 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     its ValueError for a u that cannot be reduced.
 
     It does not call _reduced_thetas with one index: the group kernel's
-    per-index lists took a call from 3.5 to 4.6 us at default-box points
-    (CPython 3.11, 2-core VM), a cost every eval_reduced, big_theta and
-    theta_char call would pay.
+    per-index lists take a call from 1.9 to 2.7 us at default-box points
+    (theta_3, best of 8 runs, CPython 3.11.7, 2-core shared VM), a cost
+    every eval_reduced, big_theta and theta_char call would pay.  An
+    empty word skips _walk: its result is (0j, r, u) there.
     """
     tokens, tv, q2 = path
-    mu, r, u = _walk(tokens, r, complex(u))
+    if tokens:
+        mu, r, u = _walk(tokens, r, complex(u))
+    else:  # _walk's result for an empty word; 0j + mu_cell below fixes the sign of a zero
+        mu, u = 0j, complex(u)
     try:  # _cell, inline
         m = round(u.imag / tv.imag)
         u1 = u - m * tv
@@ -404,7 +409,7 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     """
     tokens, tv, q2 = path
     u = complex(u)
-    walks = [_walk(tokens, r, u) for r in indices]
+    walks = [_walk(tokens, r, u) for r in indices] if tokens else [(0j, r, u) for r in indices]
     rs = [r for _, r, _ in walks]
     u0, n, m, mu_cell = _cell(3, walks[0][2], tv)  # theta_3 never flips: the bare multiplier
     odd_n, odd_m = n % 2 == 1, m % 2 == 1
@@ -446,7 +451,7 @@ def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     _check_index(r)
     tv = tau.tau
     value, mu = _reduced_theta(r, u, _tau_path(tv, math.copysign(1.0, tv.real)))
-    return cexp(mu) * value
+    return (cmath.exp(mu) if mu.real <= _EXP_MAX else cexp(mu)) * value
 
 
 def eval_reduced_product(r: int, u: complex, tau: ModularParameter) -> complex:

@@ -309,6 +309,56 @@ class TestReduceCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+class TestNegativeLiteralValues:
+    """A value led by '-' that is not a plain negative number, given as its own token."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--r", "1", "--u", "-0.5+0.1i", "--tau", "1i"],
+            ["eval", "--json", "--r", "2", "--u", "-3e-2-0.1i", "--tau", "-0.25+0.9i"],
+            ["eval", "--char", "-0.25,0.5", "--tau", "1i"],
+            ["eval", "--char", "-0.25,-1.5", "--u", "-1i", "--tau", "-1.5+0.5i"],
+            ["reduce", "--tau", "-712.4+1.3i"],
+            ["reduce", "--tau", "-0.33333+0.004i", "--u", "-0.7-0.4i", "--r", "3"],
+        ],
+        ids=["eval-u", "eval-u-tau", "eval-char", "eval-char-u-tau", "reduce-tau", "reduce-tau-u"],
+    )
+    def test_prints_what_the_attached_form_prints(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        separate = capsys.readouterr()
+        attached = []
+        for token in argv:
+            if attached and attached[-1] in ("--u", "--tau", "--char"):
+                attached[-1] += "=" + token
+            else:
+                attached.append(token)
+        assert main(attached) == EXIT_OK
+        assert capsys.readouterr() == separate
+        assert separate.out and separate.err == ""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["eval", "--r", "1", "--u", "--tau", "1i"], "--u"),
+            (["eval", "--r", "1", "--tau", "1i", "--u"], "--u"),
+            (["eval", "--char", "--tau", "1i"], "--char"),
+            (["reduce", "--tau"], "--tau"),
+            (["eval", "--r", "1", "--u", "-0.5+0.1j", "--tau", "1i"], "--u"),
+        ],
+        ids=["u-before-option", "u-last", "char", "tau-last", "u-not-a-literal"],
+    )
+    def test_missing_value_is_still_a_usage_error(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [captured.err.splitlines()[-1]]
+        assert errors[0].endswith(f"error: argument {option}: expected one argument")
+
+
 class TestFlagConflicts:
     def test_char_with_big_theta_rejected(self, capsys):
         code = main(["eval", "--char", "0,0", "--u", "0", "--tau", "1i", "--big-theta"])

@@ -206,6 +206,32 @@ def test_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+_IMPORT_ORDER_VALUES = """
+import thetakit.core as core, thetakit.notation as notation
+points = [(0.3 + 0.2j, 0.3 + 0.8j), (-0.7 + 0.05j, 0.382 + 0.001j), (1e-168 + 2e-168j, 3.0002 + 0.004j)]
+values = []
+for u, t in points:
+    tau = core.ModularParameter(t)
+    for a, b in ((0.25, 0.75), (0.5, 0.5), (-1.3, 0.2)):
+        values.append(core.theta_char(core.Characteristics(a, b), u, tau))
+    values += [notation.big_theta(r, u, tau) for r in (1, 2, 3, 4)]
+"""
+
+
+@pytest.mark.parametrize("first", ["thetakit.core", "thetakit.reduction", "thetakit.notation"])
+def test_values_do_not_depend_on_which_module_is_imported_first(first):
+    # core reaches reduction through one module import at its end, not per call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thetakit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import {first}\n{_IMPORT_ORDER_VALUES}\nprint(repr(values))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True
+    ).stdout
+    scope: dict = {}
+    exec(_IMPORT_ORDER_VALUES, scope)
+    assert out == repr(scope["values"]) + "\n"
+
+
 class TestThetaChar:
     def test_spot_value_at_i(self):
         val = theta_char(Characteristics(0.0, 0.0), 0.0, ModularParameter(1j))
@@ -470,3 +496,61 @@ def test_unreduced_values_are_pinned_bit_for_bit():
         u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-4.0, 4.0))
         digest.update(repr([theta(r, u, tau) for r in (1, 2, 3, 4)]).encode())
     assert digest.hexdigest() == UNREDUCED_BITS_SHA256
+
+
+def _kernel_inputs():
+    """Seeded (n, v, tv) inputs of core._series over the cases that steer it;
+    the test takes each at a0 = 0 and 1/2."""
+    rng = random.Random("kernel bits")
+    for _ in range(150):
+        # the reduced cell's fixed window
+        tv = complex(rng.uniform(-0.5, 0.5), rng.uniform(math.sqrt(3.0) / 2.0, 3.0))
+        v = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * tv.imag)
+        yield core.N, v, tv
+    for _ in range(60):
+        # searched windows, up to ~100 terms at Im tau ~ 1e-3
+        tv = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -0.3))
+        v = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) * tv.imag)
+        n = core.truncation_index(ModularParameter(tv), v, 0.5, 1e-15)
+        yield n, v, tv
+    for _ in range(40):
+        # the peak lies past the window edge, so k0 is clamped to +-n
+        tv = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
+        n = rng.randint(1, 12)
+        v = complex(rng.uniform(-0.5, 0.5), rng.choice((-1, 1)) * (n + rng.uniform(1.5, 4.0)) * tv.imag)
+        yield n, v, tv
+    for k in range(-4, 5):
+        # half-integer ties: -Im v/Im tau - a0 lands on k + 1/2 exactly, at
+        # a0 = 0 in the first point and a0 = 1/2 in the second
+        for im_tau in (1.0, 2.0, 0.5):
+            yield core.N, complex(0.25, -(k + 0.5) * im_tau), complex(0.125, im_tau)
+            yield core.N, complex(-0.25, -k * im_tau), complex(-0.125, im_tau)
+        yield core.N, complex(0.3, 0.0), complex(0.1, 1.0 + 0.125 * k)  # tie at Im v = 0
+    for tv in (complex(-0.0, 1.0), complex(-0.0, 0.9), complex(0.0, 1.0)):
+        # a -0.0 real part in v and in tau
+        for v in (complex(-0.0, 0.0), complex(-0.0, 0.3), complex(0.0, -0.0), complex(-0.0, -0.2)):
+            yield core.N, v, tv
+    for y in (-300.0, 300.0, -5000.0, 5000.0, -140.0):
+        # a peak term past exp's range, which saturates
+        yield core.N, complex(0.3, y), complex(0.2, 1.0)
+        yield core.N, complex(-0.0, y), complex(-0.0, 1.0)
+
+
+# sha256 of the reprs of core._series over _kernel_inputs, taken before
+# the kernel rewrite that had to keep every bit
+KERNEL_BITS_SHA256 = "6b0629ab2c79e6a79d85ef5eb39d4197d4ba94b0fa9e8866bd5861a3d25e689c"
+
+
+def test_series_kernel_is_pinned_bit_for_bit():
+    import hashlib
+
+    digest = hashlib.sha256()
+    count = 0
+    for n, v, tv in _kernel_inputs():
+        q2 = core._nome_sq(tv)
+        for a0 in (0.0, 0.5):
+            for alternating in (False, True, None):
+                digest.update(repr(core._series(n, a0, v, tv, alternating, q2)).encode())
+                count += 1
+    assert count > 2000
+    assert digest.hexdigest() == KERNEL_BITS_SHA256
