@@ -84,6 +84,24 @@ def cexp(z: complex) -> complex:
     return cmath.exp(z)
 
 
+def _exp_multiplier(mu: complex, u: complex) -> complex:
+    """exp(mu) of the log multiplier of a reduced value at u, on the
+    branch the evaluators' inline cmath.exp leaves: mu.real > _EXP_MAX
+    or nan.
+
+    A finite mu saturates as in cexp.  A mu that is not finite overflowed
+    on its way, in the lattice shift or in a u^2/tau phase of the word:
+    ValueError, as for any u that cannot be reduced.
+    """
+    if not cmath.isfinite(mu):
+        raise _multiplier_overflow(u)
+    return cexp(mu)
+
+
+def _multiplier_overflow(u: complex) -> ValueError:
+    return ValueError(f"cannot reduce u: the log multiplier of u={u!r} overflows doubles")
+
+
 @dataclass(frozen=True)
 class ModularParameter:
     """Modular parameter restricted to the open upper half-plane.
@@ -345,7 +363,7 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     multiplier before the one exponential, so the accuracy is relative,
     as for eval_reduced, not the absolute _TOL * max(1, peak term) of a
     direct sum, and it holds at every valid tau.  A u that cannot be
-    reduced raises ValueError.
+    reduced, or whose log multiplier overflows, raises ValueError.
     """
     u = complex(u)
     tv = tau.tau
@@ -356,7 +374,7 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     path = reduction._tau_path(tv, math.copysign(1.0, tv.real))  # reduction._path, inline
     value, mu = reduction._reduced_theta(3, w, path)
     z = mu + _IPI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b))
-    return value * (cmath.exp(z) if z.real <= _EXP_MAX else cexp(z))
+    return value * (cmath.exp(z) if z.real <= _EXP_MAX else _exp_multiplier(z, u))
 
 
 def _theta_sum(r: int, u: complex, tau: ModularParameter, q2: complex) -> complex:

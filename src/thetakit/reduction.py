@@ -38,6 +38,8 @@ from .core import (
     _CELL_IM_TAU,
     _EXP_MAX,
     _check_index,
+    _exp_multiplier,
+    _multiplier_overflow,
     _nome_sq,
     _series,
     _window,
@@ -220,6 +222,9 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
     overflows doubles, and where rounding leaves u0 outside the cell by
     more than Im(tv)/2 (|Im u0| > Im tv): past that no window is proven.
     The messages call u and tv u' and tau': the point after the word.
+    A mu that overflows with m^2*tv finite is not checked here, off the
+    evaluators' path: reduce_u and full_reduction raise for it, and the
+    evaluators where their exp(mu) leaves the fast branch.
     """
     try:
         m = round(u.imag / tv.imag)
@@ -254,7 +259,10 @@ def reduce_u(
     to exp(-pi*i*(2*m*u0 + m^2*tau)) for an m-fold shift.
     """
     _check_index(r)
-    u0, n, m, mu = _cell(r, complex(u), tau.tau)
+    u = complex(u)
+    u0, n, m, mu = _cell(r, u, tau.tau)
+    if not cmath.isfinite(mu):
+        raise _multiplier_overflow(u)
     return LatticeDecomposition(u0, n, m), ThetaTransformRecord(_IDENT_PERM, mu, u0, tau)
 
 
@@ -337,16 +345,21 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
 
     Equal to folding apply_modular_step over the word with then() and
     finishing with reduce_u; the tau-only part of the word is cached.
-    ValueError where u cannot be reduced (see _cell).
+    ValueError where u cannot be reduced (see _cell) and where the log
+    multiplier overflows doubles.
     """
     _check_index(r)
     tokens, end, _ = _path(tau)
     index_map = _IDENT_PERM
     for token in tokens:
         index_map = tuple(token[3][i - 1] for i in index_map)
-    mu, r, u = _walk(tokens, r, complex(u))
-    u0, _, _, mu_cell = _cell(r, u, end)
-    return ThetaTransformRecord(index_map, mu + mu_cell, u0, ModularParameter(end))
+    u = complex(u)
+    mu, r, w = _walk(tokens, r, u)
+    u0, _, _, mu_cell = _cell(r, w, end)
+    mu += mu_cell
+    if not cmath.isfinite(mu):
+        raise _multiplier_overflow(u)
+    return ThetaTransformRecord(index_map, mu, u0, ModularParameter(end))
 
 
 def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
@@ -444,14 +457,15 @@ def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     where direct summation would need thousands of terms or overflow.
     The returned value itself can still overflow the double range for
     extreme arguments; use full_reduction directly to stay in log form.
-    ValueError where u cannot be reduced (see _cell).  The cached path
-    is read by value here, with no _path call, and a new tau inside the
-    cell builds no ModularParameter on the way to _series.
+    ValueError where u cannot be reduced (see _cell) and where the log
+    multiplier overflows doubles.  The cached path is read by value
+    here, with no _path call, and a new tau inside the cell builds no
+    ModularParameter on the way to _series.
     """
     _check_index(r)
     tv = tau.tau
     value, mu = _reduced_theta(r, u, _tau_path(tv, math.copysign(1.0, tv.real)))
-    return (cmath.exp(mu) if mu.real <= _EXP_MAX else cexp(mu)) * value
+    return (cmath.exp(mu) if mu.real <= _EXP_MAX else _exp_multiplier(mu, u)) * value
 
 
 def eval_reduced_product(r: int, u: complex, tau: ModularParameter) -> complex:

@@ -73,6 +73,14 @@ def test_tsv_export_is_unchanged_after_hashing():
     assert digest == "61bdda8eb867fc1f3dd58e88edc063311545df6a7b554ab419594b9a6a11137b"
 
 
+def test_parsed_catalog_is_unchanged():
+    import hashlib
+
+    # pinned before factor texts were parsed once per process
+    digest = hashlib.sha256(repr(builtin_catalog()).encode()).hexdigest()
+    assert digest == "b684be79029d9360f871f852dc3b52506fed8166912e3ba5a444b40b9fae61aa"
+
+
 class TestManifest:
     def test_every_entry_well_formed_and_resolvable(self):
         known = set(catalog_ids())

@@ -309,6 +309,30 @@ class TestReduceCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+class TestOverflowingLogMultiplier:
+    """Near the cusp at 3, K ~ 6.5e-155 and u/(2K) ~ 2.4e153: the word's
+    u^2/tau phase overflows doubles, which is a usage error, not a bare
+    "math domain error" or a record with log_mult inf-infi."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--r", "3", "--big-theta", "--u", "0.1-0.3i", "--tau", "3.002+0.003i"],
+            ["eval", "--r", "3", "--u", "1.18e153+2.12e153i", "--tau", "3.002+0.003i"],
+            ["eval", "--char", "0.25,0.75", "--u", "1.18e153+2.12e153i", "--tau", "3.002+0.003i"],
+            ["reduce", "--tau", "3.002+0.003i", "--u", "1.18e153+2.12e153i", "--r", "3"],
+        ],
+        ids=["big-theta", "r", "char", "reduce"],
+    )
+    def test_is_one_line_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cannot reduce u: the log multiplier of u=" in captured.err
+        assert "overflows doubles" in captured.err
+
+
 class TestNegativeLiteralValues:
     """A value led by '-' that is not a plain negative number, given as its own token."""
 

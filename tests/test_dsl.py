@@ -209,3 +209,78 @@ def test_identities_parsed_twice_hash_and_compare_equal():
     # a pickle carries no hash: string hashes differ between processes
     c = pickle.loads(pickle.dumps(a))
     assert "_hash" not in vars(c) and c == a and hash(c) == hash(a)
+
+
+class TestRepeatedFactors:
+    """Each distinct factor text is parsed once per process; a repeat must
+    still give what a first parse gives."""
+
+    def test_variables_follow_the_identity_not_the_factor_seen_first(self):
+        assert parse_identity("t1(y-x|tau) = t2(x|tau)*t3(y|tau)").variables == ("y", "x")
+        again = parse_identity("t2(x|tau)*t1(y-x|tau) = t4(z+y|tau)")
+        assert again.variables == ("x", "y", "z")
+        assert again.lhs[0].factors[1] == ThetaFactor(1, LinearForm.make({"x": -1, "y": 1}), 1)
+
+    def test_cancelling_variable_is_still_declared(self):
+        for _ in range(2):
+            ident = parse_identity("t1(u-u|tau) = t2(v|tau)")
+            assert ident.variables == ("u", "v")
+            assert ident.lhs[0].factors[0] == ThetaFactor(1, LinearForm.make(), 1)
+        assert parse_identity("t3(v|tau)*t1(u-u|tau) = 0").variables == ("v", "u")
+
+    @pytest.mark.parametrize(
+        "text,position,message",
+        [
+            ("t1(u|tau)*t1(u|tau) = t2(u+|tau)", 27, "expected a linear-form atom, got '|'"),
+            ("t1(u|tau)*t1(u|tau) = t1(u|tau)*t5(u|tau)", 32, "unknown theta index 't5'"),
+            ("t1(u|tau) = t2(v|2tau)*t3(2u|3tau)", 29, "expected 'tau' or '2tau', got '3'"),
+            ("t2(v|2tau)*t1(u|tau = t2(v|2tau)", 20, "expected ')', got '='"),
+        ],
+    )
+    def test_error_in_a_later_factor_counts_from_the_start_of_the_text(self, text, position, message):
+        parse_identity("t1(u|tau)*t2(v|2tau) = 0")
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_identity(text)
+            assert err.value.position == position
+            assert err.value.reason == message
+
+    def test_stray_character_is_reported_before_an_earlier_syntax_error(self):
+        parse_identity("t1(u|tau) = 0")
+        with pytest.raises(ParseError) as err:
+            parse_identity("t5(u|tau) = t1(u|tau) $")
+        assert err.value.position == 22
+        assert "unexpected character '$'" in str(err.value)
+
+    def test_unicode_minus_inside_a_repeated_factor(self):
+        plain = parse_identity("t1(u-v|tau)*t1(u-v|tau) = 0").lhs[0].factors
+        unicode = parse_identity("t1(u−v|tau)*t1(u−v|tau) = 0").lhs[0].factors
+        assert plain == unicode == (ThetaFactor(1, LinearForm.make({"u": 1, "v": -1}), 1),) * 2
+
+
+def test_catalog_parses_each_distinct_factor_text_once():
+    import os
+    import re
+    import subprocess
+    import sys
+
+    import thetakit
+    from thetakit.identities import catalog_tsv
+
+    texts = [line.split("\t")[1] for line in catalog_tsv().splitlines()]
+    # every factor but pi, read off the text without the parser
+    factors = [m.group() for text in texts for m in re.finditer(r"[A-Za-z_]\w*\([^()]*\)", text)]
+    assert (len(factors), len(set(factors))) == (1974, 84)  # 1,972 theta, dt1(0), gauss4(0|tau)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thetakit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import thetakit\n"
+        "from thetakit.identities import dsl\n"
+        "thetakit.builtin_catalog()\n"
+        "info = dsl._parse_factor.cache_info()\n"
+        "print(info.misses, info.hits)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True
+    ).stdout
+    assert out.split() == [str(len(set(factors))), str(len(factors) - len(set(factors)))]

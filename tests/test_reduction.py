@@ -544,6 +544,48 @@ def test_unreducible_u_raises_value_error(call, message):
         call()
 
 
+# K ~ 6.5e-155 at this tau, so Theta's u = 0.1-0.3i becomes u/(2K) ~ 2.4e153,
+# whose u^2/tau phase in the word overflows while the lattice shift still fits
+_CUSP_TAU = ModularParameter(3.002 + 0.003j)
+_CUSP_U = 1.1823766235631279e153 + 2.1242004946900013e153j
+# m = 1e153: m^2 = 1e306 is a double, m^2*Im tau = 2.3e308 is not
+_BIG_TAU = ModularParameter(230j)
+_MULTIPLIER = r"cannot reduce u: the log multiplier of u=.* overflows doubles"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: full_reduction(3, _CUSP_U, _CUSP_TAU), id="full_reduction-word"),
+        pytest.param(lambda: full_reduction(3, 2.3e155j, _BIG_TAU), id="full_reduction-shift"),
+        pytest.param(lambda: reduce_u(3, 2.3e155j, _BIG_TAU), id="reduce_u-shift"),
+        pytest.param(lambda: reduce_u(1, 0.3 + 2.3e155j, _BIG_TAU), id="reduce_u-shift-r1"),
+        pytest.param(lambda: eval_reduced(3, _CUSP_U, _CUSP_TAU), id="eval_reduced-word"),
+        pytest.param(lambda: eval_reduced(3, 2.3e155j, _BIG_TAU), id="eval_reduced-shift"),
+        pytest.param(lambda: eval_reduced_product(2, _CUSP_U, _CUSP_TAU), id="product-word"),
+        pytest.param(lambda: big_theta(3, 0.1 - 0.3j, _CUSP_TAU), id="big_theta-word"),
+        pytest.param(
+            lambda: theta_char(Characteristics(0.25, 0.75), _CUSP_U, _CUSP_TAU), id="theta_char-word"
+        ),
+        pytest.param(
+            lambda: theta_char(Characteristics(0.0, 0.0), 2.3e155j, _BIG_TAU), id="theta_char-shift"
+        ),
+    ],
+)
+def test_overflowing_log_multiplier_raises_value_error(call):
+    # these returned a record with log_multiplier inf-infj or inf+nanj, a
+    # nan value, or failed in cexp with a bare "math domain error"
+    with pytest.raises(ValueError, match=_MULTIPLIER):
+        call()
+
+
+def test_finite_log_multiplier_past_exp_range_still_saturates():
+    # mu.real ~ 2.2e305 is finite: the record keeps it, the value saturates
+    _, record = reduce_u(3, 4e153j, _BIG_TAU)
+    assert math.isfinite(record.log_multiplier.real) and record.log_multiplier.real > 1e305
+    assert cmath.isinf(eval_reduced(3, 4e153j, _BIG_TAU))
+
+
 def test_shift_just_inside_double_range_still_reduces():
     # m = 1e150: m^2*tau = 1e300 is a double, and u0 lands in the cell
     record = full_reduction(3, 1e150j, ModularParameter(1j))
