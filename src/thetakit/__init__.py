@@ -39,7 +39,6 @@ from .identities import (
     verify,
 )
 from .notation import (
-    EllipticK,
     big_theta,
     convert_characteristics,
     elliptic_k,

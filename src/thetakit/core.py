@@ -164,16 +164,14 @@ def _finite_u(u: complex) -> complex:
     return u
 
 
-def truncation_index(
-    tau: ModularParameter, u: complex, a: float, tol: float, max_terms: int = _MAX_TERMS
-) -> int:
+def truncation_index(tau: ModularParameter, u: complex, a: float, tol: float) -> int:
     """Smallest N whose majorant tail over |k| >= N stays below tol.
 
     The term of index k is bounded by |q|^{(k+a)^2} * e^{2*pi*|Im u|*|k+a|};
     past the peak each step shrinks the bound by at least
     |q|^{2(k+a)} * e^{2*pi*|Im u|}, so the tail is summed geometrically.
     Finite for every Im(tau) > 0, but raises TruncationError when the
-    needed N exceeds max_terms (reduce the arguments first), and
+    needed N exceeds _MAX_TERMS (reduce the arguments first), and
     ValueError unless tol is finite and positive and u is finite.
     """
     if not 0.0 < tol < math.inf:
@@ -183,7 +181,7 @@ def truncation_index(
     a0 = a - round(a)  # exact series reindexing; |a0| <= 1/2
     log_q = -PI * t
     tpy = _TWO_PI * y
-    for n in range(1, max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         bound = 0.0
         usable = True
         for x0 in (n + a0, n - a0):  # first right / left tail offsets, both >= 1/2
@@ -196,7 +194,7 @@ def truncation_index(
         if usable and bound < tol:
             return n
     raise TruncationError(
-        f"truncation window exceeds max_terms={max_terms} "
+        f"truncation window exceeds max_terms={_MAX_TERMS} "
         f"(Im tau={t:.3g}, |Im u|={y:.3g}); reduce the arguments first"
     )
 
@@ -269,15 +267,9 @@ def _series(
     accumulator makes the same additions in the same order as its own
     one-sum call: both results are bit-equal to alternating=False and True.
 
-    Rewrites of this body that keep every bit (the same operands in the
-    same order): hoisting a constant such as _IPI or 2.0*x0 and 2.0*v,
-    which the left-to-right products already formed; inlining cexp's
-    test; clamping by comparisons instead of min(max(...)); writing the
-    two directions out; looping over itertools.repeat.  Rewrites that
-    move bits, and so need a re-pin and an accuracy check: the down
-    ratio as q2/ratio_up; exp(pi*i*tv*x0^2) cached per tau; summing even
-    and odd k apart; dropping terms that look negligible; and 0j + x -> x
-    (0j + -0.0 is +0.0), in the callers too.
+    The pins hold this body bit for bit: a rewrite that changes an
+    operand or the order of the operations needs a re-pin and an
+    accuracy check.
     """
     c = -v.imag / tv.imag - a0
     if c < -n:

@@ -451,73 +451,22 @@ def catalog_tsv() -> str:
 # --------------------------------------------------------------------------
 
 
-def _ids(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(1, n + 1)]
+def _manifest() -> dict[str, dict]:
+    """Each entry under its own tag up to the first ".", plus 9 tags that are no entry's own."""
+    manifest: dict[str, dict] = {}
+    for cid, tag, _dsl in _ENTRIES:
+        manifest.setdefault(tag.split(".")[0], {"ids": []})["ids"].append(cid)
+    return manifest | {
+        "tt0": {"subsumed_by": ["W.I.r1", "W.III.r1"]},
+        "si3": {"subsumed_by": [f"J.{f}.{i}" for f in ("II", "III") for i in range(1, 7)]},
+        "si4": {"ids": [f"J.IV.{i}" for i in range(1, 5)]},  # J.IV.1-4's own tags: ft11a-ft11d
+        "ft1": {"checked_by": "dual_vars"},
+        "ft'": {"checked_by": "dual_vars"},
+        **{f"z{i}": {"checked_by": "koornwinder_equivalence_check"} for i in (1, 2, 3, 4)},
+    }
 
 
-MANIFEST: dict[str, dict] = {
-    # bilinear systems
-    **{f"sb1{c}": {"ids": [f"B.I.{i}"]} for i, c in enumerate("abcdef", start=1)},
-    **{f"es1{c}": {"ids": [f"B.II.{i}"]} for i, c in enumerate("abcdef", start=1)},
-    # addition identities
-    "tt0": {"subsumed_by": ["W.I.r1", "W.III.r1"]},
-    "tt1": {"ids": [f"W.I.r{r}" for r in (1, 2, 3, 4)]},
-    "tt2a": {"ids": ["W.II.3"]},
-    "tt2b": {"ids": ["W.II.2"]},
-    "tt2c": {"ids": ["W.II.1"]},
-    "tt3": {"ids": [f"W.III.r{r}" for r in (1, 2, 3, 4)]},
-    "tt4": {"ids": ["W.IV"]},
-    "tt5": {"ids": ["W.V"]},
-    # bracket machinery and identities
-    "ft1": {"checked_by": "dual_vars"},
-    "ft'": {"checked_by": "dual_vars"},
-    **{f"ft2{c}": {"ids": [f"J.I.{i}"]} for i, c in enumerate("abcd", start=1)},
-    "ft3": {"ids": _ids("J.F.", 12)},
-    **{f"si1{c}": {"ids": [f"J.II.{i}"]} for i, c in enumerate("abcdef", start=1)},
-    **{f"si2{c}": {"ids": [f"J.III.{i}"]} for i, c in enumerate("abcdef", start=1)},
-    "si3": {"subsumed_by": _ids("J.II.", 6) + _ids("J.III.", 6)},
-    "si4": {"ids": _ids("J.IV.", 4)},
-    **{f"ft11{c}": {"ids": [f"J.IV.{i}"]} for i, c in enumerate("abcd", start=1)},
-    # Riemann identities
-    **{f"j1{c}": {"ids": [f"R.I.{i}"]} for i, c in enumerate("abcd", start=1)},
-    **{f"j2{c}": {"ids": [f"R.II.{i}"]} for i, c in enumerate("abc", start=1)},
-    **{f"j3{c}": {"ids": [f"R.II.{i}"]} for i, c in enumerate("abc", start=4)},
-    **{f"j4{c}": {"ids": [f"R.II.{i}"]} for i, c in enumerate("abc", start=7)},
-    **{f"j5{c}": {"ids": [f"R.II.{i}"]} for i, c in enumerate("abc", start=10)},
-    **{f"j6{c}": {"ids": [f"R.III.{i}"]} for i, c in enumerate("abcd", start=1)},
-    # equivalence-check relations
-    **{f"z{i}": {"checked_by": "koornwinder_equivalence_check"} for i in (1, 2, 3, 4)},
-    # particular bilinear consequences
-    **{f"bc1{c}": {"ids": [f"P.bc1{c}"]} for c in "abcd"},
-    **{f"bc2{c}": {"ids": [f"P.bc2{c}"]} for c in "ab"},
-    **{f"bc3{c}": {"ids": [f"P.bc3{c}"]} for c in "abcd"},
-    **{f"bc4{c}": {"ids": [f"P.bc4{c}"]} for c in "ab"},
-    "lt1a": {"ids": ["L.lt1a"]},
-    "lt1b": {"ids": ["L.lt1b"]},
-    "lt2": {"ids": ["L.lt2"]},
-    # particular addition identities
-    **{
-        f"ad{g}{c}": {"ids": [f"AD.ad{g}{c}.1", f"AD.ad{g}{c}.2"]}
-        for g in (1, 2, 3, 4)
-        for c in "abc"
-    },
-    "ad5": {"ids": _ids("AD.ad5.", 6)},
-    "ad6": {"ids": _ids("AD.ad6.", 4)},
-    "ad7": {"ids": ["AD.ad7"]},
-    # duplication identities
-    "df1": {"ids": ["D.df1"]},
-    **{f"df2{c}": {"ids": [f"D.df2{c}"]} for c in "abcd"},
-    **{f"df3{c}": {"ids": [f"D.df3{c}"]} for c in "abcd"},
-    **{f"df4{c}": {"ids": [f"D.df4{c}"]} for c in "abcd"},
-    "df5a": {"ids": [f"D.df5a.{k}" for k in ("123", "231", "312")]},
-    "df5b": {"ids": [f"D.df5b.{k}" for k in ("123", "231", "312")]},
-    "df5c": {"ids": [f"D.df5c.{a}" for a in (1, 2, 3)]},
-    "df5d": {"ids": [f"D.df5d.{k}" for k in ("123", "231", "312")]},
-    # theta-constant identities
-    "tc1": {"ids": ["TC.tc1"]},
-    "tc2": {"ids": ["TC.tc2"]},
-    "g1": {"ids": ["G.g1"]},
-}
+MANIFEST = _manifest()
 
 
 # duality partners of the J identities under the primed/unprimed swap

@@ -27,11 +27,10 @@ token past its first ")", so the text up to there is the key of a
 bounded cache (_parse_factor, 1024 entries, exceptions not kept) of the
 factor and its variables in order of first appearance.  A repeat skips
 the text and replays those variables, so Identity.variables keeps the
-identity's own order, a cancelling "u-u" included.  The 155 catalog
-entries hold 1,974 such factors over 84 distinct texts.  Errors are
-those of a parser over the whole token list: a position counts from the
-start of the identity text, and a stray character anywhere is reported
-before a syntax error.
+identity's own order, a cancelling "u-u" included.  Errors are those
+of a parser over the whole token list: a position counts from the start
+of the identity text, and a stray character anywhere is reported before
+a syntax error.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ together (one lattice cell and one series pass per half-integer
 class, bit-equal to one evaluation per index), by full
 reduction or, with use_reduction=False, by direct summation per
 factor, then assembles the terms.  The engine runs at the library's
-one accuracy: absolute tail target 1e-15, at most 1000 terms (core's
-_TOL and _MAX_TERMS).
+one accuracy, core's _TOL and _MAX_TERMS.
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -98,11 +97,9 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SamplingBox:
-    """Uniform sampling ranges for variables and tau."""
+    """Uniform sampling range of Im tau.  Re tau is drawn from [-1/2, 1/2]
+    and each variable's real and imaginary parts from [-1, 1]."""
 
-    var_re: tuple[float, float] = (-1.0, 1.0)
-    var_im: tuple[float, float] = (-1.0, 1.0)
-    tau_re: tuple[float, float] = (-0.5, 0.5)
     tau_im: tuple[float, float] = (0.5, 2.0)
 
 
@@ -336,10 +333,10 @@ def _sample_binding(
     rng: random.Random, variables: tuple[str, ...], box: SamplingBox
 ) -> VariableBinding:
     values = {
-        name: complex(rng.uniform(*box.var_re), rng.uniform(*box.var_im))
+        name: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         for name in variables
     }
-    tau = ModularParameter(complex(rng.uniform(*box.tau_re), rng.uniform(*box.tau_im)))
+    tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
     return VariableBinding(values, tau)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import PI, Characteristics, ModularParameter, cexp, theta_char
@@ -20,7 +19,6 @@ from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it
 from .reduction import eval_reduced
 
 __all__ = [
-    "EllipticK",
     "elliptic_k",
     "big_theta",
     "multiplicative_coords",
@@ -28,20 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EllipticK:
-    """Complete elliptic integral of the first kind, K = (pi/2)*theta_3(0|tau)^2."""
-
-    K: complex
-
-
-def elliptic_k(tau: ModularParameter) -> EllipticK:
+def elliptic_k(tau: ModularParameter) -> complex:
     """K = (pi/2)*theta_3(0|tau)^2 with the reduced theta_3, accurate next to cusps too.
 
-    K depends on tau alone, so it is summed once per tau and cached by
-    value: the key is (tau.tau, copysign(1.0, Re tau)), like the
-    reduction path's, so Re tau = 0.0 and -0.0 stay apart.  A hit
-    returns bit for bit what the sum gives.
+    K, the complete elliptic integral of the first kind, depends on tau
+    alone, so it is summed once per tau and cached by value: the key is
+    (tau.tau, copysign(1.0, Re tau)), like the reduction path's, so
+    Re tau = 0.0 and -0.0 stay apart.  A hit returns bit for bit what the
+    sum gives.
 
     ValueError where K under- or overflows doubles (theta_3(0) is far below
     1e-154 next to some cusps): a zero K would make Theta_r divide by zero.
@@ -52,13 +44,13 @@ def elliptic_k(tau: ModularParameter) -> EllipticK:
 
 
 @lru_cache(maxsize=4096)
-def _elliptic_k(tv: complex, re_sign: float) -> EllipticK:
+def _elliptic_k(tv: complex, re_sign: float) -> complex:
     """elliptic_k of ModularParameter(tv); re_sign only splits the key."""
     t3 = eval_reduced(3, 0.0, ModularParameter(tv))
     k = 0.5 * PI * t3 * t3
     if not k or not cmath.isfinite(k):
         raise ValueError(f"K = (pi/2)*theta_3(0)^2 under- or overflows doubles: {k!r}")
-    return EllipticK(k)
+    return k
 
 
 def big_theta(r: int, u: complex, tau: ModularParameter) -> complex:
@@ -66,10 +58,15 @@ def big_theta(r: int, u: complex, tau: ModularParameter) -> complex:
 
     K comes from elliptic_k's per-tau cache (keyed by the value of tau
     and the sign of Re tau), so at a tau seen before this is one reduced
-    sum, not two.
+    sum, not two.  A ValueError of eval_reduced that quotes u/(2K) quotes
+    the caller's u first.
     """
-    k = elliptic_k(tau).K
-    return eval_reduced(r, complex(u) / (2.0 * k), tau)
+    u = complex(u)
+    w = u / (2.0 * elliptic_k(tau))
+    try:
+        return eval_reduced(r, w, tau)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(f"u={w!r}", f"u={u!r} (u/(2K)={w!r})")) from None
 
 
 def multiplicative_coords(u: complex, tau: ModularParameter) -> tuple[complex, complex]:

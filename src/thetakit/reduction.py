@@ -96,9 +96,7 @@ class ThetaTransformRecord(NamedTuple):
 
     The log multiplier is specific to the index the record was built
     for; the permutation is the full index map of the move.  Records
-    compose by permutation composition and multiplier addition.  A
-    named tuple, immutable and cheap to build: full_reduction makes one
-    per call.
+    compose by permutation composition and multiplier addition.
     """
 
     index_map: tuple[int, int, int, int]
@@ -150,9 +148,9 @@ def apply_word_to_tau(word: ModularWord, tau: complex) -> complex:
     return tau
 
 
-def in_fundamental_domain(tau: complex, slack: float = 1e-12) -> bool:
-    """|Re tau| <= 1/2 and |tau| >= 1, with boundary slack."""
-    return abs(tau.real) <= 0.5 + slack and abs(tau) >= 1.0 - slack
+def in_fundamental_domain(tau: complex) -> bool:
+    """|Re tau| <= 1/2 and |tau| >= 1, with boundary slack 1e-12."""
+    return abs(tau.real) <= 0.5 + 1e-12 and abs(tau) >= 1.0 - 1e-12
 
 
 def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
@@ -377,10 +375,8 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     its ValueError for a u that cannot be reduced.
 
     It does not call _reduced_thetas with one index: the group kernel's
-    per-index lists take a call from 1.9 to 2.7 us at default-box points
-    (theta_3, best of 8 runs, CPython 3.11.7, 2-core shared VM), a cost
-    every eval_reduced, big_theta and theta_char call would pay.  An
-    empty word skips _walk: its result is (0j, r, u) there.
+    per-index lists would slow every eval_reduced, big_theta and
+    theta_char call.
     """
     tokens, tv, q2 = path
     if tokens:
@@ -458,9 +454,7 @@ def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     The returned value itself can still overflow the double range for
     extreme arguments; use full_reduction directly to stay in log form.
     ValueError where u cannot be reduced (see _cell) and where the log
-    multiplier overflows doubles.  The cached path is read by value
-    here, with no _path call, and a new tau inside the cell builds no
-    ModularParameter on the way to _series.
+    multiplier overflows doubles.
     """
     _check_index(r)
     tv = tau.tau

@@ -97,6 +97,14 @@ class TestManifest:
             covered.update(entry.get("subsumed_by", []))
         assert covered == set(catalog_ids())
 
+    def test_manifest_is_pinned(self):
+        import hashlib
+        import json
+
+        # pinned while the manifest was still a hand-written literal
+        digest = hashlib.sha256(json.dumps(MANIFEST, sort_keys=True).encode()).hexdigest()
+        assert digest == "e646e230424aa969310f5e58dbeca0331ccdf64109729d19bf4c0d8c6a6e3614"
+
     def test_tag_labels_cover_all_catalog_tags(self):
         # each identity's own tag must resolve to a manifest entry listing it
         for cid, tag in catalog_tags().items():

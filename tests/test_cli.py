@@ -332,6 +332,12 @@ class TestOverflowingLogMultiplier:
         assert "cannot reduce u: the log multiplier of u=" in captured.err
         assert "overflows doubles" in captured.err
 
+    def test_big_theta_quotes_the_callers_u(self, capsys):
+        # the rescaled u/(2K) may follow, but the u first quoted is the one given
+        argv = ["eval", "--r", "3", "--big-theta", "--u", "0.1-0.3i", "--tau", "3.002+0.003i"]
+        assert main(argv) == EXIT_USAGE
+        assert "the log multiplier of u=(0.1-0.3j) (u/(2K)=(1.18" in capsys.readouterr().err
+
 
 class TestNegativeLiteralValues:
     """A value led by '-' that is not a plain negative number, given as its own token."""

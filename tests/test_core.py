@@ -72,17 +72,19 @@ class TestTruncationIndex:
 
     def test_slow_nome_needs_hundreds_of_terms(self):
         # |q| = exp(-0.001*pi) ~ 0.99687: the window is large but finite
-        n = truncation_index(ModularParameter(0.001j), 0.0, 0.0, 1e-16, 1000)
+        n = truncation_index(ModularParameter(0.001j), 0.0, 0.0, 1e-16)
         assert n == 111
 
     def test_exceeding_cap_raises(self):
-        with pytest.raises(TruncationError):
-            truncation_index(ModularParameter(0.001j), 0.0, 0.0, 1e-16, 100)
+        # |q| = exp(-1e-5*pi): the window would need ~1,080 terms, past the 1000-term cap
+        assert core._MAX_TERMS == 1000
+        with pytest.raises(TruncationError, match="exceeds max_terms=1000"):
+            truncation_index(ModularParameter(1e-5j), 0.0, 0.0, 1e-16)
 
     def test_imaginary_argument_widens_window(self):
         tau = ModularParameter(0.05j)
-        base = truncation_index(tau, 0.0, 0.0, 1e-15, 100000)
-        wide = truncation_index(tau, 0.9j, 0.0, 1e-15, 100000)
+        base = truncation_index(tau, 0.0, 0.0, 1e-15)
+        wide = truncation_index(tau, 0.9j, 0.0, 1e-15)
         assert wide > base + 10
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-15])
@@ -106,7 +108,7 @@ class TestTruncationIndex:
             tau = random_tau(rng, im=(0.2, 2.0))
             u = random_point(rng)
             a = rng.uniform(-1.0, 1.0)
-            n = truncation_index(tau, u, a, 1e-14, 10000)
+            n = truncation_index(tau, u, a, 1e-14)
             t, y = tau.tau.imag, abs(u.imag)
             tail = sum(
                 math.exp(-math.pi * t * (k + a - round(a)) ** 2 + 2 * math.pi * y * abs(k + a - round(a)))
@@ -390,6 +392,28 @@ def test_settings_reach_only_the_unreduced_routes():
         with pytest.raises(TruncationError):
             call()
     assert cmath.isfinite(theta(3, 0.1, ModularParameter(2e-5j)))
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "thetakit",
+        "thetakit.core",
+        "thetakit.reduction",
+        "thetakit.notation",
+        "thetakit.cli",
+        "thetakit.identities",
+        "thetakit.identities.catalog",
+        "thetakit.identities.dsl",
+        "thetakit.identities.engine",
+    ],
+)
+def test_every_exported_name_resolves(module):
+    import importlib
+
+    exported = importlib.import_module(module)
+    missing = [name for name in exported.__all__ if not hasattr(exported, name)]
+    assert not missing, f"{module}.__all__ names {missing}"
 
 
 @pytest.mark.parametrize(

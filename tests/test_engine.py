@@ -336,12 +336,10 @@ def test_reduced_residuals_are_pinned_bit_for_bit():
             rng = random.Random(f"pin:{box_name}:{identity_id}")
             for _ in range(3):
                 values = {
-                    n: complex(rng.uniform(*box.var_re), rng.uniform(*box.var_im))
+                    n: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                     for n in ident.variables
                 }
-                tau = ModularParameter(
-                    complex(rng.uniform(*box.tau_re), rng.uniform(*box.tau_im))
-                )
+                tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
                 try:
                     got = evaluate_identity(ident, VariableBinding(values, tau))
                 except TruncationError:
@@ -418,10 +416,10 @@ def test_grouped_factor_values_equal_per_factor_evaluation(box_name):
         rng = random.Random(f"group:{box_name}:{ident.id}")
         for _ in range(3):
             values = {
-                n: complex(rng.uniform(*box.var_re), rng.uniform(*box.var_im))
+                n: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                 for n in ident.variables
             }
-            tau = ModularParameter(complex(rng.uniform(*box.tau_re), rng.uniform(*box.tau_im)))
+            tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
             binding = VariableBinding(values, tau)
             got = _outcome(lambda: _factor_values(plan, binding, True))
             assert got == _outcome(lambda: _per_factor_values(ident, binding)), ident.id

@@ -598,7 +598,7 @@ def test_peak_tie_at_huge_im_tau_follows_the_sign_of_im_u():
     tau = ModularParameter(-4.645303596781149 + 2.3682154996852834e204j)
     u = -4.3028179067476085e82 + 3.196840279137255e56j
     assert repr(eval_reduced(2, u, tau)) == "(-0+0j)"
-    assert big_theta(2, 2.0 * elliptic_k(tau).K * u, tau) == 0
+    assert big_theta(2, 2.0 * elliptic_k(tau) * u, tau) == 0
 
 
 def test_reduced_routes_at_huge_im_tau_stay_finite():
