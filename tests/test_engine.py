@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_point, random_tau
 from oracles import theta_series
+from trial_reference import mismatches, per_factor_values
 from thetakit import ModularParameter, eval_reduced
 from thetakit.identities import (
     J_DUAL,
@@ -348,46 +349,6 @@ def test_reduced_residuals_are_pinned_bit_for_bit():
     assert digest.hexdigest() == REDUCED_RESIDUALS_SHA256
 
 
-def _per_factor_values(identity, binding):
-    """Each unique factor evaluated on its own, in first-use order: the
-    one-factor-at-a-time route that the grouped plan must reproduce."""
-    from thetakit.core import PI, cexp, gauss_product_theta4, theta1_prime0
-    from thetakit.reduction import HalfPeriod, _path, _reduced_theta, half_period_shift
-
-    unique = dict.fromkeys(
-        f for side in (identity.lhs, identity.rhs) for term in side for f in term.factors
-    )
-    out = []
-    for f in unique:
-        base = binding.tau if f.tau_multiplier == 1 else binding.tau.scaled(2)
-        if f.index == "pi":
-            out.append((complex(PI), 0.0))
-            continue
-        if f.index == "dt1":
-            out.append((theta1_prime0(base), 0.0))
-            continue
-        if f.index == "gauss4":
-            out.append((gauss_product_theta4(base), 0.0))
-            continue
-        lf = f.argument
-        w = complex(float(lf.const))
-        for name, c in lf.var_coeffs:
-            w += c * binding.values[name]
-        sigma = lf.tau_coeff / f.tau_multiplier
-        path = _path(base)
-        if sigma.denominator == 2:
-            point = w + (float(sigma) - 0.5) * base.tau
-            record = half_period_shift(f.index, HalfPeriod.TAU_HALF, point, base)
-            value, mu = _reduced_theta(record.map_index(f.index), point, path)
-            shift = record.log_multiplier
-            mantissa = value * cexp(1j * mu.imag)
-            out.append((mantissa * cexp(1j * shift.imag), mu.real + shift.real))
-        else:
-            value, mu = _reduced_theta(f.index, w + float(sigma) * base.tau, path)
-            out.append((value * cexp(1j * mu.imag), mu.real))
-    return out
-
-
 def _outcome(call):
     try:
         return repr(call())
@@ -422,7 +383,7 @@ def test_grouped_factor_values_equal_per_factor_evaluation(box_name):
             tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
             binding = VariableBinding(values, tau)
             got = _outcome(lambda: _factor_values(plan, binding, True))
-            assert got == _outcome(lambda: _per_factor_values(ident, binding)), ident.id
+            assert got == _outcome(lambda: per_factor_values(ident, binding)), ident.id
 
 
 def test_half_offset_points_group_on_the_shifted_point():
@@ -441,7 +402,7 @@ def test_grouped_kernel_at_the_cusp_binding():
 
     ident = catalog_by_id()["D.df2a"]
     assert repr(_factor_values(_compile(ident), CUSP_BINDING, True)) == repr(
-        _per_factor_values(ident, CUSP_BINDING)
+        per_factor_values(ident, CUSP_BINDING)
     )
     path = _path(CUSP_BINDING.tau)
     u = CUSP_BINDING.values["u"]
@@ -450,3 +411,62 @@ def test_grouped_kernel_at_the_cusp_binding():
             indices = tuple(r for r in (1, 2, 3, 4) if mask >> (r - 1) & 1)
             want = [_reduced_theta(r, point, path) for r in indices]
             assert repr(_reduced_thetas(indices, point, path)) == repr(want)
+
+
+# verify against the single-trial public route (tests/trial_reference.py),
+# bit for bit: a 2tau id (P.bc3c), the cusp-prone D.df2a, the
+# four-index TC.tc1 and the gauss4 product G.g1 among them
+EQUIVALENCE_IDS = [
+    "AD.ad3b.2", "B.I.1", "D.df2a", "D.df4d", "G.g1", "J.III.4",
+    "L.lt2", "P.bc3c", "R.II.7", "TC.tc1", "W.I.r1", "W.III.r2",
+]
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+@pytest.mark.parametrize("box_name", ["default", "stress"])
+def test_verify_equals_the_single_trial_route(box_name, seed):
+    from thetakit.identities import DEFAULT_BOX
+
+    box, rel_tol = (DEFAULT_BOX, 1e-9) if box_name == "default" else (STRESS_BOX, 1e-8)
+    assert mismatches(EQUIVALENCE_IDS, trials=8, seed=seed, box=box, rel_tol=rel_tol) == []
+
+
+def test_verify_equals_the_single_trial_route_on_failures():
+    from thetakit.identities import SamplingBox
+
+    # G.g1 runs out of terms at the bottom of the stress box, a sign-flipped
+    # B.I.1 fails on every trial and a zero identity is resampled to the limit
+    good = catalog_by_id()["B.I.1"]
+    flipped = dataclasses.replace(
+        good, id="flipped", rhs=(good.rhs[0], dataclasses.replace(good.rhs[1], coefficient=-good.rhs[1].coefficient))
+    )
+    catalog = {
+        "G.g1": catalog_by_id()["G.g1"],
+        "flipped": flipped,
+        "zero": parse_identity("0*t3(u|tau) = 0*t4(u|tau)", "zero"),
+    }
+    floor_box = SamplingBox(tau_im=(1e-3, 1.5e-3))
+    assert mismatches(sorted(catalog), trials=3, seed=1, box=floor_box, rel_tol=1e-8, catalog=catalog) == []
+
+
+def test_verify_equals_the_single_trial_route_when_resampling(monkeypatch):
+    import thetakit.identities.engine as engine
+
+    # half the draws land where theta_3 is ~1e-339: both sides are
+    # negligible, so the trial draws again; every kept trial fails
+    sample = engine._sample_binding
+    drawn = []
+
+    def sampler(rng, variables, box):
+        binding = sample(rng, variables, box)
+        drawn.append(rng.random() < 0.5)
+        if drawn[-1]:
+            return VariableBinding({name: 0.5 + 0j for name in variables}, ModularParameter(1e-3j))
+        return binding
+
+    monkeypatch.setattr(engine, "_sample_binding", sampler)
+    catalog = {"bad": parse_identity("t3(u|tau) = 2*t3(u|tau)", "bad")}
+    assert mismatches(["bad"], trials=6, seed=3, box=STRESS_BOX, rel_tol=1e-8, catalog=catalog) == []
+    assert any(drawn) and not all(drawn)
+    (report,) = verify(["bad"], trials=6, seed=3, box=STRESS_BOX, rel_tol=1e-8, catalog=catalog)
+    assert report.failing_binding.tau != ModularParameter(1e-3j)
