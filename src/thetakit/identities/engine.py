@@ -3,11 +3,11 @@
 Each identity is compiled once into a plan of plain numbers (_Plan),
 whose factors are grouped by the point where they are evaluated.  A
 trial evaluates every unique point once, for all its theta indices
-together (one lattice cell and one series pass per half-integer
-class, bit-equal to one evaluation per index), by full
-reduction or, with use_reduction=False, by direct summation per
-factor, then assembles the terms.  The engine runs at the library's
-one accuracy, core's _TOL and _MAX_TERMS.
+together (one walk of the reduction word, one lattice cell and one
+series pass per half-integer class, bit-equal to one evaluation per
+index), by full reduction or, with use_reduction=False, by direct
+summation per factor, then assembles the terms into plain floats, with
+no per-trial record.  The engine runs at core's _TOL and _MAX_TERMS.
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -36,14 +36,14 @@ from ..core import (
 )
 from ..reduction import (
     _HP_PERM,
+    _HP_PHASE_QUARTERS,
     HalfPeriod,
     eval_reduced,
-    half_period_shift,
-    _path,
     _reduced_theta,
     _reduced_thetas,
+    _tau_path,
 )
-from ..reduction import full_reduction  # noqa: F401  unused; perfbench's layer tracer wraps it here
+from ..reduction import full_reduction, half_period_shift  # noqa: F401  perfbench's tracer wraps them
 from .catalog import catalog_by_id
 from .dsl import DTHETA1, GAUSS4, PI_CONST, Identity, ThetaFactor
 
@@ -145,29 +145,28 @@ class _Plan:
     half-integer offset sums index 5 - r, by the tau/2 shift table) and
     positions where each value goes.  A pi, dt1 or gauss4 factor is a
     point of its own, with special set to its kind.
-    sides: per side, the terms as (coefficient, factor positions).
+    terms: every term as (coefficient, factor positions), the n_lhs left ones first.
     """
 
     variables: tuple[str, ...]
     points: tuple[tuple, ...]
     n_factors: int
-    sides: tuple[tuple[tuple[complex, tuple[int, ...]], ...], ...]
+    terms: tuple[tuple[complex, tuple[int, ...]], ...]
+    n_lhs: int
     doubled: bool  # some factor lives at 2tau
 
 
 _TAU_HALF_PERM = _HP_PERM[HalfPeriod.TAU_HALF]
+_TAU_HALF_QUARTERS = _HP_PHASE_QUARTERS[HalfPeriod.TAU_HALF]
 
 
 @lru_cache(maxsize=1024)
 def _compile(identity: Identity) -> _Plan:
     unique: dict[ThetaFactor, int] = {}  # each factor's position, by first use
-    sides = []
-    for side in (identity.lhs, identity.rhs):
-        terms = []
-        for t in side:
-            indices = tuple(unique.setdefault(f, len(unique)) for f in t.factors)
-            terms.append((complex(float(t.coefficient)), indices))
-        sides.append(tuple(terms))
+    terms = tuple(
+        (complex(float(t.coefficient)), tuple(unique.setdefault(f, len(unique)) for f in t.factors))
+        for t in (*identity.lhs, *identity.rhs)
+    )
     points: dict[tuple, tuple] = {}  # key -> (fields, kinds, inner indices, positions)
     for position, f in enumerate(unique):
         slot = f.tau_multiplier - 1
@@ -191,7 +190,7 @@ def _compile(identity: Identity) -> _Plan:
         for fields, kinds, inner, positions in points.values()
     )
     doubled = any(f.tau_multiplier == 2 for f in unique)
-    return _Plan(identity.variables, compiled, len(unique), tuple(sides), doubled)
+    return _Plan(identity.variables, compiled, len(unique), terms, len(identity.lhs), doubled)
 
 
 def _factor_values(
@@ -199,119 +198,108 @@ def _factor_values(
 ) -> list[tuple[complex, float]]:
     """Every unique factor of the plan as (mantissa, log_scale), by position.
 
-    Each point is evaluated once.  Reduced, one index is one
-    _reduced_theta call and several are one _reduced_thetas call, which
-    is bit-equal to one _reduced_theta per index; the log multiplier's
-    phase then joins the mantissa.  A phase's exponent has real part
-    +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
+    Each point is evaluated once.  Reduced, tau and 2tau are plain
+    complex numbers with their _tau_path looked up on first use, one
+    index is one _reduced_theta call and several are one _reduced_thetas
+    call (one walk of the word, bit-equal to _reduced_theta per index);
+    mu's phase joins the mantissa, and half_period_shift's multiplier is
+    written out.  Only pi, dt1, gauss4 and direct sums build a
+    ModularParameter.  A phase's exponent has real part +-0 (nan at an
+    infinite angle), where cexp is cmath.exp: no saturation.
     """
-    bases = (binding.tau, binding.tau.scaled(2) if plan.doubled else None)
-    paths = [None, None]  # each base's reduction path, looked up on first use
+    tau = binding.tau
+    taus = (tau.tau, 2 * tau.tau if plan.doubled else None)  # 2tau as tau.scaled(2) holds it
+    if plan.doubled and not cmath.isfinite(taus[1]):
+        tau.scaled(2)  # raises its ValueError
+    paths = [None, None]  # each tau's reduction path, looked up on first use
     values = [binding.values[name] for name in plan.variables]
     out: list = [None] * plan.n_factors
     for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
-        base = bases[slot]
         if special is not None:
             if special == PI_CONST:
                 value = complex(PI)
             elif special == DTHETA1:
-                value = theta1_prime0(base)
+                value = theta1_prime0(tau.scaled(2) if slot else tau)
             else:
-                value = gauss_product_theta4(base)
+                value = gauss_product_theta4(tau.scaled(2) if slot else tau)
             out[positions[0]] = value, 0.0
             continue
         w = complex(const)
         for i, c in coeffs:
             w += c * values[i]
+        t = taus[slot]
         if not use_reduction:
             for kind, position in zip(kinds, positions):
-                out[position] = theta(kind, w + offset * base.tau, base), 0.0
+                out[position] = theta(kind, w + offset * t, tau.scaled(2) if slot else tau), 0.0
             continue
         path = paths[slot]
         if path is None:
-            path = paths[slot] = _path(base)
+            path = paths[slot] = _tau_path(t, math.copysign(1.0, t.real))
         # a half-integer offset goes through the shift table: better
         # accuracy than summing on the Im cell boundary
-        point = w + (offset - 0.5 if half else offset) * base.tau
-        if len(inner) == 1:
-            pairs = (_reduced_theta(inner[0], point, path),)
+        point = w + (offset - 0.5 if half else offset) * t
+        if half:  # rare: half_period_shift's multiplier, written out
+            for kind, position, (value, mu) in zip(kinds, positions, _reduced_thetas(inner, point, path)):
+                shift = 0.5j * PI * _TAU_HALF_QUARTERS[kind] + -1j * PI * (point + t / 4.0)
+                mantissa = value * cmath.exp(1j * mu.imag) * cmath.exp(1j * shift.imag)
+                out[position] = mantissa, mu.real + shift.real
+        elif len(inner) == 1:
+            value, mu = _reduced_theta(inner[0], point, path)
+            out[positions[0]] = value * cmath.exp(1j * mu.imag), mu.real
         else:
-            pairs = _reduced_thetas(inner, point, path)
-        for kind, position, (value, mu) in zip(kinds, positions, pairs):
-            mantissa = value * cmath.exp(1j * mu.imag)
-            if half:
-                shift = half_period_shift(kind, HalfPeriod.TAU_HALF, point, base).log_multiplier
-                out[position] = mantissa * cmath.exp(1j * shift.imag), mu.real + shift.real
-            else:
-                out[position] = mantissa, mu.real
+            for position, (value, mu) in zip(positions, _reduced_thetas(inner, point, path)):
+                out[position] = value * cmath.exp(1j * mu.imag), mu.real
     return out
-
-
-@dataclass
-class _EvalDetail:
-    abs_residual: float
-    rel_residual: float
-    lhs_log_mag: float
-    rhs_log_mag: float
 
 
 def _evaluate_plan(
     plan: _Plan, binding: VariableBinding, use_reduction: bool = True
-) -> _EvalDetail:
+) -> tuple[float, float, float]:
+    """(absolute residual, relative residual, log magnitude of the larger side)."""
     values = _factor_values(plan, binding, use_reduction)
-    sides: list[list[tuple[complex, float]]] = []
+    mantissas = []
+    scales = []
     log_max = -math.inf
     finite = True
-    for side in plan.sides:
-        evaluated = []
-        for coefficient, indices in side:
-            mantissa = coefficient
-            scale = 0.0
-            for i in indices:
-                m, s = values[i]
-                mantissa *= m
-                scale += s
-            if not cmath.isfinite(mantissa):
-                finite = False
-            if mantissa != 0 and scale > log_max:
-                log_max = scale
-            evaluated.append((mantissa, scale))
-        sides.append(evaluated)
-
+    for coefficient, indices in plan.terms:
+        mantissa = coefficient
+        scale = 0.0
+        for i in indices:
+            m, s = values[i]
+            mantissa *= m
+            scale += s
+        if not cmath.isfinite(mantissa):
+            finite = False
+        if mantissa != 0 and scale > log_max:
+            log_max = scale
+        mantissas.append(mantissa)
+        scales.append(scale)
     if not finite:
-        return _EvalDetail(math.inf, math.inf, math.inf, math.inf)
+        return math.inf, math.inf, math.inf
     if log_max == -math.inf:  # every term is exactly zero
-        return _EvalDetail(0.0, 0.0, -math.inf, -math.inf)
-
-    sums = []
-    mags = []
-    denom = 0.0
-    for evaluated in sides:
-        total = 0j
-        mag = 0.0
-        for mantissa, scale in evaluated:
-            z = mantissa * math.exp(min(scale - log_max, 0.0))
-            total += z
-            mag += abs(z)
-        sums.append(total)
-        mags.append(mag)
-        denom += mag
-
-    diff = abs(sums[0] - sums[1])
+        return 0.0, 0.0, -math.inf
+    lhs = rhs = 0j
+    lhs_mag = rhs_mag = 0.0
+    for k, mantissa in enumerate(mantissas):
+        z = mantissa * math.exp(min(scales[k] - log_max, 0.0))
+        if k < plan.n_lhs:
+            lhs += z
+            lhs_mag += abs(z)
+        else:
+            rhs += z
+            rhs_mag += abs(z)
+    diff = abs(lhs - rhs)
     floor_log = _LOG_EPS - log_max
     floor = math.exp(floor_log) if floor_log < 700.0 else math.inf
-    rel = diff / (floor + denom)
+    rel = diff / (floor + (lhs_mag + rhs_mag))
     if diff == 0.0:
         abs_res = 0.0
     elif log_max > 700.0:
         abs_res = math.inf
     else:
         abs_res = diff * math.exp(log_max)
-
-    def side_log(mag: float) -> float:
-        return log_max + math.log(mag) if mag > 0.0 else -math.inf
-
-    return _EvalDetail(abs_res, rel, side_log(mags[0]), side_log(mags[1]))
+    side_logs = [log_max + math.log(mag) if mag > 0.0 else -math.inf for mag in (lhs_mag, rhs_mag)]
+    return abs_res, rel, max(side_logs)
 
 
 def evaluate_identity(
@@ -325,18 +313,16 @@ def evaluate_identity(
     only viable where the raw series converges within the default
     max_terms.
     """
-    detail = _evaluate_plan(_compile(identity), binding, use_reduction)
-    return detail.abs_residual, detail.rel_residual
+    return _evaluate_plan(_compile(identity), binding, use_reduction)[:2]
 
 
 def _sample_binding(
     rng: random.Random, variables: tuple[str, ...], box: SamplingBox
 ) -> VariableBinding:
-    values = {
-        name: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for name in variables
-    }
-    tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
+    """Each variable, then tau, drawn as rng.uniform draws: a + (b - a) * rng.random()."""
+    values = {name: complex(-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random()) for name in variables}
+    low, high = box.tau_im
+    tau = ModularParameter(complex(-0.5 + 1.0 * rng.random(), low + (high - low) * rng.random()))
     return VariableBinding(values, tau)
 
 
@@ -356,10 +342,12 @@ def verify(
     resampled, at most _RESAMPLE_LIMIT times per trial; an exhausted
     truncation counts as a failed trial.  Raises UnknownIdentityError
     for ids not in the catalog (the built-in one unless another mapping
-    is supplied).
+    is supplied); ValueError unless trials >= 1 and 0 < rel_tol < inf.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     by_id = catalog_by_id() if catalog is None else catalog
     reports = []
     for identity_id in identity_ids:
@@ -368,22 +356,20 @@ def verify(
             raise UnknownIdentityError(identity_id)
         plan = _compile(identity)
         rng = random.Random(f"{seed}:{identity_id}")
-        max_abs = 0.0
-        max_rel = 0.0
+        max_abs = max_rel = 0.0
         failing = None
         for _ in range(trials):
             for _ in range(_RESAMPLE_LIMIT + 1):
                 binding = _sample_binding(rng, identity.variables, box)
                 try:
-                    detail = _evaluate_plan(plan, binding)
+                    abs_res, rel, log_mag = _evaluate_plan(plan, binding)
                 except TruncationError:  # a failed trial, not an aborted run
-                    detail = _EvalDetail(math.inf, math.inf, math.inf, math.inf)
-                if not max(detail.lhs_log_mag, detail.rhs_log_mag) < _DEGENERATE_LOG:
+                    abs_res = rel = log_mag = math.inf
+                if not log_mag < _DEGENERATE_LOG:
                     break
-            rel = detail.rel_residual
             if math.isnan(rel):
                 rel = math.inf
-            max_abs = max(max_abs, detail.abs_residual)
+            max_abs = max(max_abs, abs_res)
             if rel > max_rel:
                 max_rel = rel
             if failing is None and rel > rel_tol:

@@ -408,42 +408,55 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
 def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
     """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
 
-    Each index walks the word (_walk); every walk ends at the same u.
-    _cell runs once, and its sign goes on per index.  The fixed window
-    test is _reduced_theta's, and only off it is a ModularParameter built
-    for _window.  Each half-integer class, a0 = 0 for {3, 4} and a0 = 1/2
-    for {1, 2}, takes one window and one series pass; where both of its
-    members are wanted, _series carries the plain and the alternating sum
-    in one loop.  ValueError as _reduced_theta.
+    The word is walked once: u/tau and an S token's common part
+    const - i*pi*u^2/tau of mu do not depend on the index.  Each index
+    adds to mu as _walk does, in the same order: that part, plus i*pi/2
+    at index 1, or the T constant at 1 and 2, else 0j.  _cell runs once
+    and its sign goes on per index.  The fixed window test is
+    _reduced_theta's; only off it is a ModularParameter built for
+    _window.  Each half-integer class, a0 = 0 for {3, 4} and 1/2 for
+    {1, 2}, takes one window and one series pass, both members in one
+    _series loop.  ValueError as _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)
-    walks = [_walk(tokens, r, u) for r in indices] if tokens else [(0j, r, u) for r in indices]
-    rs = [r for _, r, _ in walks]
-    u0, n, m, mu_cell = _cell(3, walks[0][2], tv)  # theta_3 never flips: the bare multiplier
+    steps = []  # per token: what mu gains at index 1, 2, 3, 4, and the index map
+    for step, t, const, perm in tokens:
+        if step is _S:
+            common = const - 1j * PI * u * u / t
+            steps.append(((common + 0.5j * PI, common, common, common), perm))
+            u = u / t
+        else:
+            steps.append(((const, const, 0j, 0j), perm))
+    u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
     odd_n, odd_m = n % 2 == 1, m % 2 == 1
     flipped = mu_cell + 1j * PI
+    ends = []  # per index: the index after the word, and its multiplier
+    for r in indices:
+        mu = 0j
+        for gains, perm in steps:
+            mu += gains[r - 1]
+            r = perm[r - 1]
+        ends.append((r, mu + (flipped if (odd_n and r < 3) ^ (odd_m and r in (1, 4)) else mu_cell)))
+    wanted = {r for r, _ in ends}
     fixed = tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag
     tau = None if fixed else ModularParameter(tv)  # for _window only
-    sums = {}
-    for r in rs:
-        if r in sums:
+    sums = [None, None, None, None]
+    for r, _ in ends:
+        if sums[r - 1] is not None:
             continue
         a0 = 0.5 if r < 3 else 0.0
         window = N if fixed else _window(tau, u0, a0)
-        if (r + 1 if r % 2 else r - 1) in rs:  # the other member of r's class
+        if (r + 1 if r % 2 else r - 1) in wanted:  # the other member of r's class
             plain, s = _series(window, a0, u0, tv, None, q2)
             if r < 3:
-                sums[2], sums[1] = plain, complex(s.imag, -s.real)  # -i*s, as for r = 1 alone
+                sums[1], sums[0] = plain, complex(s.imag, -s.real)  # -i*s, as for r = 1 alone
             else:
-                sums[3], sums[4] = plain, s
+                sums[2], sums[3] = plain, s
         else:
             s = _series(window, a0, u0, tv, r in (1, 4), q2)
-            sums[r] = complex(s.imag, -s.real) if r == 1 else s
-    return [
-        (sums[r], mu + (flipped if (odd_n and r in (1, 2)) ^ (odd_m and r in (1, 4)) else mu_cell))
-        for mu, r, _ in walks
-    ]
+            sums[r - 1] = complex(s.imag, -s.real) if r == 1 else s
+    return [(sums[r - 1], mu) for r, mu in ends]
 
 
 def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:

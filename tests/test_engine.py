@@ -138,6 +138,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(["B.I.1"], trials=0)
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_rejects_a_rel_tol_that_cannot_fail(self, rel_tol):
+        # a nan or infinite tolerance passed this identity, off by a factor 2
+        bad = parse_identity("t3(u|tau)*t3(u|tau) = 2*t3(u|tau)*t3(u|tau)", "bad")
+        with pytest.raises(ValueError, match="rel_tol"):
+            verify(["bad"], trials=3, catalog={"bad": bad}, rel_tol=rel_tol)
+
     def test_negative_control_sign_flip(self):
         good = catalog_by_id()["B.I.1"]
         bad_rhs = (good.rhs[0], dataclasses.replace(good.rhs[1], coefficient=-good.rhs[1].coefficient))
@@ -451,6 +458,7 @@ def test_verify_equals_the_single_trial_route_on_failures():
 
 def test_verify_equals_the_single_trial_route_when_resampling(monkeypatch):
     import thetakit.identities.engine as engine
+    from thetakit.identities import DEFAULT_BOX
 
     # half the draws land where theta_3 is ~1e-339: both sides are
     # negligible, so the trial draws again; every kept trial fails
@@ -466,7 +474,30 @@ def test_verify_equals_the_single_trial_route_when_resampling(monkeypatch):
 
     monkeypatch.setattr(engine, "_sample_binding", sampler)
     catalog = {"bad": parse_identity("t3(u|tau) = 2*t3(u|tau)", "bad")}
-    assert mismatches(["bad"], trials=6, seed=3, box=STRESS_BOX, rel_tol=1e-8, catalog=catalog) == []
-    assert any(drawn) and not all(drawn)
-    (report,) = verify(["bad"], trials=6, seed=3, box=STRESS_BOX, rel_tol=1e-8, catalog=catalog)
+    (report,) = verify(["bad"], trials=6, seed=3, rel_tol=1e-8, catalog=catalog)
+    assert any(drawn) and drawn.count(False) == 6  # each negligible draw was drawn again
     assert report.failing_binding.tau != ModularParameter(1e-3j)
+    assert mismatches(["bad"], trials=6, seed=3, box=DEFAULT_BOX, rel_tol=1e-8, catalog=catalog) == []
+
+
+@pytest.mark.parametrize("box_name", ["default", "stress"])
+def test_sample_binding_draws_as_random_uniform(box_name):
+    from thetakit.identities import DEFAULT_BOX
+    from thetakit.identities.engine import _sample_binding
+
+    box = DEFAULT_BOX if box_name == "default" else STRESS_BOX
+    ours, theirs = random.Random(5), random.Random(5)
+    for variables in [(), ("u",), ("u", "v", "x", "y")] * 3:
+        binding = _sample_binding(ours, variables, box)
+        values = {n: complex(theirs.uniform(-1.0, 1.0), theirs.uniform(-1.0, 1.0)) for n in variables}
+        tau = complex(theirs.uniform(-0.5, 0.5), theirs.uniform(*box.tau_im))
+        assert repr((binding.values, binding.tau.tau)) == repr((values, tau))
+
+
+def test_a_2tau_past_the_double_range_raises_value_error():
+    # tau is valid, 2tau is not: the reduced route never builds 2tau's
+    # ModularParameter, but still refuses it as ModularParameter would
+    ident = catalog_by_id()["P.bc3c"]
+    binding = VariableBinding({n: 0.1j for n in ident.variables}, ModularParameter(1e308 + 1j))
+    with pytest.raises(ValueError, match="tau must be finite"):
+        evaluate_identity(ident, binding)
