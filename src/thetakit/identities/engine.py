@@ -2,12 +2,13 @@
 
 Each identity is compiled once into a plan of plain numbers (_Plan),
 whose factors are grouped by the point where they are evaluated.  A
-trial evaluates every unique point once, for all its theta indices
-together (one walk of the reduction word, one lattice cell and one
-series pass per half-integer class, bit-equal to one evaluation per
-index), by full reduction or, with use_reduction=False, by direct
-summation per factor, then assembles the terms into plain floats, with
-no per-trial record.  The engine runs at core's _TOL and _MAX_TERMS.
+verify trial runs on plain numbers from the draw to the residual: it
+walks its fresh tau (and 2tau) once, evaluates every unique point once
+for all its theta indices (one walk of the word, one lattice cell and
+one series pass per half-integer class, bit-equal to one evaluation
+per index), by full reduction or, with use_reduction=False, by direct
+summation per factor, and builds a binding only for a report's first
+failure.  The engine runs at core's _TOL and _MAX_TERMS.
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -41,7 +42,7 @@ from ..reduction import (
     eval_reduced,
     _reduced_theta,
     _reduced_thetas,
-    _tau_path,
+    _walk_tau,
 )
 from ..reduction import full_reduction, half_period_shift  # noqa: F401  perfbench's tracer wraps them
 from .catalog import catalog_by_id
@@ -97,10 +98,14 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SamplingBox:
-    """Uniform sampling range of Im tau.  Re tau is drawn from [-1/2, 1/2]
-    and each variable's real and imaginary parts from [-1, 1]."""
+    """Uniform sampling range of Im tau, 0 < low <= high < inf (else ValueError).
+    Re tau is drawn from [-1/2, 1/2], each variable's parts from [-1, 1]."""
 
     tau_im: tuple[float, float] = (0.5, 2.0)
+
+    def __post_init__(self):
+        if not 0.0 < self.tau_im[0] <= self.tau_im[1] < math.inf:
+            raise ValueError(f"tau_im must satisfy 0 < low <= high < inf, got {self.tau_im!r}")
 
 
 DEFAULT_BOX = SamplingBox()
@@ -138,8 +143,8 @@ class _Plan:
 
     points: the unique factors grouped by where they are evaluated, in
     order of first use, each (special, slot 0 for tau or 1 for 2tau,
-    const, (variable position, int coeff) pairs, tau offset, offset is a
-    half-integer, kinds, inner indices, factor positions).  A theta point
+    complex const, (variable position, int coeff) pairs, tau offset, offset
+    is a half-integer, kinds, inner indices, factor positions).  A theta point
     has special None and lists every index wanted at its argument: kinds
     are the factors' theta indices, inner the indices summed (a
     half-integer offset sums index 5 - r, by the tau/2 shift table) and
@@ -148,12 +153,12 @@ class _Plan:
     terms: every term as (coefficient, factor positions), the n_lhs left ones first.
     """
 
-    variables: tuple[str, ...]
     points: tuple[tuple, ...]
     n_factors: int
     terms: tuple[tuple[complex, tuple[int, ...]], ...]
     n_lhs: int
     doubled: bool  # some factor lives at 2tau
+    walked: tuple[bool, bool]  # per slot: theta points there, so a reduced trial walks it
 
 
 _TAU_HALF_PERM = _HP_PERM[HalfPeriod.TAU_HALF]
@@ -172,13 +177,13 @@ def _compile(identity: Identity) -> _Plan:
         slot = f.tau_multiplier - 1
         inner = f.index
         if f.index in (PI_CONST, DTHETA1, GAUSS4):
-            key = fields = (f.index, slot, 0.0, (), 0.0, False)
+            key = fields = (f.index, slot, 0j, (), 0.0, False)
         else:
             lf = f.argument
             sigma = lf.tau_coeff / f.tau_multiplier  # relative to the factor's slot
             coeffs = tuple((identity.variables.index(name), c) for name, c in lf.var_coeffs)
             half = sigma.denominator == 2
-            key = fields = (None, slot, float(lf.const), coeffs, float(sigma), half)
+            key = fields = (None, slot, complex(float(lf.const)), coeffs, float(sigma), half)
             if half:
                 inner = _TAU_HALF_PERM[f.index - 1]
         _, kinds, inners, positions = points.setdefault(key, (fields, [], [], []))
@@ -190,51 +195,50 @@ def _compile(identity: Identity) -> _Plan:
         for fields, kinds, inner, positions in points.values()
     )
     doubled = any(f.tau_multiplier == 2 for f in unique)
-    return _Plan(identity.variables, compiled, len(unique), terms, len(identity.lhs), doubled)
+    walked = tuple(any(p[0] is None and p[1] == slot for p in compiled) for slot in (0, 1))
+    return _Plan(compiled, len(unique), terms, len(identity.lhs), doubled, walked)
 
 
 def _factor_values(
-    plan: _Plan, binding: VariableBinding, use_reduction: bool
+    plan: _Plan, values, tv: complex, use_reduction: bool
 ) -> list[tuple[complex, float]]:
     """Every unique factor of the plan as (mantissa, log_scale), by position.
 
-    Each point is evaluated once.  Reduced, tau and 2tau are plain
-    complex numbers with their _tau_path looked up on first use, one
-    index is one _reduced_theta call and several are one _reduced_thetas
-    call (one walk of the word, bit-equal to _reduced_theta per index);
-    mu's phase joins the mantissa, and half_period_shift's multiplier is
-    written out.  Only pi, dt1, gauss4 and direct sums build a
-    ModularParameter.  A phase's exponent has real part +-0 (nan at an
-    infinite angle), where cexp is cmath.exp: no saturation.
+    values (in the identity's variables order) and tau = tv are plain numbers.
+    Reduced, each walked slot's tau is walked once, fresh, past the
+    cache, and each point is evaluated once: one index is one
+    _reduced_theta call and several are one _reduced_thetas call (one
+    walk of the word, bit-equal to _reduced_theta per index); mu's phase
+    joins the mantissa, and half_period_shift's multiplier is written
+    out.  Only pi, dt1, gauss4 and direct sums (use_reduction=False: no
+    walk) build a ModularParameter.  A phase's exponent has real part
+    +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
     """
-    tau = binding.tau
-    taus = (tau.tau, 2 * tau.tau if plan.doubled else None)  # 2tau as tau.scaled(2) holds it
+    taus = (tv, 2 * tv if plan.doubled else None)  # 2tau as ModularParameter.scaled(2) holds it
     if plan.doubled and not cmath.isfinite(taus[1]):
-        tau.scaled(2)  # raises its ValueError
-    paths = [None, None]  # each tau's reduction path, looked up on first use
-    values = [binding.values[name] for name in plan.variables]
+        ModularParameter(taus[1])  # raises its ValueError
+    walk, walk2 = plan.walked if use_reduction else (False, False)  # direct sums walk nothing
+    paths = (_walk_tau(tv) if walk else None, _walk_tau(taus[1]) if walk2 else None)
     out: list = [None] * plan.n_factors
     for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
-        if special is not None:
-            if special == PI_CONST:
-                value = complex(PI)
-            elif special == DTHETA1:
-                value = theta1_prime0(tau.scaled(2) if slot else tau)
-            else:
-                value = gauss_product_theta4(tau.scaled(2) if slot else tau)
-            out[positions[0]] = value, 0.0
-            continue
-        w = complex(const)
+        w = const
         for i, c in coeffs:
             w += c * values[i]
         t = taus[slot]
-        if not use_reduction:
-            for kind, position in zip(kinds, positions):
-                out[position] = theta(kind, w + offset * t, tau.scaled(2) if slot else tau), 0.0
-            continue
         path = paths[slot]
-        if path is None:
-            path = paths[slot] = _tau_path(t, math.copysign(1.0, t.real))
+        if path is None or special is not None:  # pi, dt1, gauss4 and direct sums
+            tau = ModularParameter(t)
+            for kind, position in zip(kinds, positions):
+                if kind == PI_CONST:
+                    value = complex(PI)
+                elif kind == DTHETA1:
+                    value = theta1_prime0(tau)
+                elif kind == GAUSS4:
+                    value = gauss_product_theta4(tau)
+                else:
+                    value = theta(kind, w + offset * t, tau)
+                out[position] = value, 0.0
+            continue
         # a half-integer offset goes through the shift table: better
         # accuracy than summing on the Im cell boundary
         point = w + (offset - 0.5 if half else offset) * t
@@ -253,10 +257,10 @@ def _factor_values(
 
 
 def _evaluate_plan(
-    plan: _Plan, binding: VariableBinding, use_reduction: bool = True
+    plan: _Plan, values, tv: complex, use_reduction: bool = True
 ) -> tuple[float, float, float]:
     """(absolute residual, relative residual, log magnitude of the larger side)."""
-    values = _factor_values(plan, binding, use_reduction)
+    factors = _factor_values(plan, values, tv, use_reduction)
     mantissas = []
     scales = []
     log_max = -math.inf
@@ -265,7 +269,7 @@ def _evaluate_plan(
         mantissa = coefficient
         scale = 0.0
         for i in indices:
-            m, s = values[i]
+            m, s = factors[i]
             mantissa *= m
             scale += s
         if not cmath.isfinite(mantissa):
@@ -313,17 +317,19 @@ def evaluate_identity(
     only viable where the raw series converges within the default
     max_terms.
     """
-    return _evaluate_plan(_compile(identity), binding, use_reduction)[:2]
+    values = tuple(binding.values[name] for name in identity.variables)
+    return _evaluate_plan(_compile(identity), values, binding.tau.tau, use_reduction)[:2]
 
 
 def _sample_binding(
     rng: random.Random, variables: tuple[str, ...], box: SamplingBox
-) -> VariableBinding:
-    """Each variable, then tau, drawn as rng.uniform draws: a + (b - a) * rng.random()."""
-    values = {name: complex(-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random()) for name in variables}
+) -> tuple[tuple[complex, ...], complex]:
+    """(values in variables order, tau): each variable, then tau, drawn as
+    rng.uniform draws, a + (b - a) * rng.random(), in plain numbers."""
+    draw = rng.random
+    values = tuple([complex(-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw()) for _ in variables])
     low, high = box.tau_im
-    tau = ModularParameter(complex(-0.5 + 1.0 * rng.random(), low + (high - low) * rng.random()))
-    return VariableBinding(values, tau)
+    return values, complex(-0.5 + draw(), low + (high - low) * draw())
 
 
 def verify(
@@ -355,14 +361,15 @@ def verify(
         if identity is None:
             raise UnknownIdentityError(identity_id)
         plan = _compile(identity)
+        variables = identity.variables
         rng = random.Random(f"{seed}:{identity_id}")
         max_abs = max_rel = 0.0
         failing = None
         for _ in range(trials):
             for _ in range(_RESAMPLE_LIMIT + 1):
-                binding = _sample_binding(rng, identity.variables, box)
+                values, tau = _sample_binding(rng, variables, box)
                 try:
-                    abs_res, rel, log_mag = _evaluate_plan(plan, binding)
+                    abs_res, rel, log_mag = _evaluate_plan(plan, values, tau)
                 except TruncationError:  # a failed trial, not an aborted run
                     abs_res = rel = log_mag = math.inf
                 if not log_mag < _DEGENERATE_LOG:
@@ -373,7 +380,7 @@ def verify(
             if rel > max_rel:
                 max_rel = rel
             if failing is None and rel > rel_tol:
-                failing = binding
+                failing = VariableBinding(dict(zip(variables, values)), ModularParameter(tau))
         reports.append(
             ResidualReport(identity_id, trials, max_abs, max_rel, failing)
         )

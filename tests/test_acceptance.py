@@ -90,7 +90,8 @@ def test_criterion_02_stress_regime_and_reduction_necessity():
             ident = by_id[identity_id]
             rng = _random.Random(f"42:{identity_id}")
             for _ in range(50):
-                binding = _sample_binding(rng, ident.variables, STRESS_BOX)
+                values, tau = _sample_binding(rng, ident.variables, STRESS_BOX)
+                binding = VariableBinding(dict(zip(ident.variables, values)), ModularParameter(tau))
                 try:
                     _, rel = evaluate_identity(ident, binding, use_reduction=False)
                 except TruncationError:

@@ -257,6 +257,26 @@ def test_verify_reports_truncation_exhaustion_as_failure():
     assert report.failing_binding is not None
 
 
+@pytest.mark.parametrize(
+    "tau_im",
+    [(-1.0, 1.0), (0.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")), (2.0, 1.0)],
+)
+def test_sampling_box_rejects_a_range_outside_the_upper_half_plane(tau_im):
+    from thetakit.identities import SamplingBox
+
+    with pytest.raises(ValueError, match="tau_im"):
+        SamplingBox(tau_im=tau_im)
+
+
+def test_verify_walks_each_fresh_tau_past_the_reduction_cache():
+    from thetakit.reduction import _tau_path
+
+    before = _tau_path.cache_info()
+    verify(["B.I.1", "P.bc3c", "TC.tc1", "G.g1", "W.I.r1"], trials=5, seed=7)
+    after = _tau_path.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
 # next to the cusp at 0 the reduced mantissas of D.df2a overflow: the
 # residual is non-finite (recorded in perfbench/defects.py)
 CUSP_BINDING = VariableBinding(
@@ -273,11 +293,12 @@ def test_non_finite_terms_give_infinite_residuals():
 def test_verify_counts_a_non_finite_trial_as_failed(monkeypatch):
     import thetakit.identities.engine as engine
 
-    monkeypatch.setattr(engine, "_sample_binding", lambda rng, variables, box: CUSP_BINDING)
+    draw = (tuple(CUSP_BINDING.values.values()), CUSP_BINDING.tau.tau)
+    monkeypatch.setattr(engine, "_sample_binding", lambda rng, variables, box: draw)
     (report,) = verify(["D.df2a"], trials=2, seed=1, box=STRESS_BOX, rel_tol=1e-8)
     assert report.max_rel_residual == float("inf")
     assert report.max_abs_residual == float("inf")
-    assert report.failing_binding is CUSP_BINDING
+    assert repr(report.failing_binding) == repr(CUSP_BINDING)
 
 
 def test_residual_formula_on_pure_constants():
@@ -389,7 +410,7 @@ def test_grouped_factor_values_equal_per_factor_evaluation(box_name):
             }
             tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
             binding = VariableBinding(values, tau)
-            got = _outcome(lambda: _factor_values(plan, binding, True))
+            got = _outcome(lambda: _factor_values(plan, tuple(values.values()), tau.tau, True))
             assert got == _outcome(lambda: per_factor_values(ident, binding)), ident.id
 
 
@@ -408,7 +429,8 @@ def test_grouped_kernel_at_the_cusp_binding():
     from thetakit.reduction import _path, _reduced_theta, _reduced_thetas
 
     ident = catalog_by_id()["D.df2a"]
-    assert repr(_factor_values(_compile(ident), CUSP_BINDING, True)) == repr(
+    draw = tuple(CUSP_BINDING.values.values()), CUSP_BINDING.tau.tau
+    assert repr(_factor_values(_compile(ident), *draw, True)) == repr(
         per_factor_values(ident, CUSP_BINDING)
     )
     path = _path(CUSP_BINDING.tau)
@@ -466,11 +488,11 @@ def test_verify_equals_the_single_trial_route_when_resampling(monkeypatch):
     drawn = []
 
     def sampler(rng, variables, box):
-        binding = sample(rng, variables, box)
+        draw = sample(rng, variables, box)
         drawn.append(rng.random() < 0.5)
         if drawn[-1]:
-            return VariableBinding({name: 0.5 + 0j for name in variables}, ModularParameter(1e-3j))
-        return binding
+            return (0.5 + 0j,) * len(variables), 1e-3j
+        return draw
 
     monkeypatch.setattr(engine, "_sample_binding", sampler)
     catalog = {"bad": parse_identity("t3(u|tau) = 2*t3(u|tau)", "bad")}
@@ -488,10 +510,10 @@ def test_sample_binding_draws_as_random_uniform(box_name):
     box = DEFAULT_BOX if box_name == "default" else STRESS_BOX
     ours, theirs = random.Random(5), random.Random(5)
     for variables in [(), ("u",), ("u", "v", "x", "y")] * 3:
-        binding = _sample_binding(ours, variables, box)
-        values = {n: complex(theirs.uniform(-1.0, 1.0), theirs.uniform(-1.0, 1.0)) for n in variables}
+        drawn = _sample_binding(ours, variables, box)
+        values = tuple(complex(theirs.uniform(-1.0, 1.0), theirs.uniform(-1.0, 1.0)) for _ in variables)
         tau = complex(theirs.uniform(-0.5, 0.5), theirs.uniform(*box.tau_im))
-        assert repr((binding.values, binding.tau.tau)) == repr((values, tau))
+        assert repr(drawn) == repr((values, tau))
 
 
 def test_a_2tau_past_the_double_range_raises_value_error():

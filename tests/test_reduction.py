@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -640,7 +641,7 @@ def _assert_group_equals_singles(u, tau):
 
     path = _path(tau)
     for subset in _SUBSETS:
-        for indices in (subset, subset[::-1]):
+        for indices in itertools.permutations(subset):
             want = [_reduced_theta(r, u, path) for r in indices]
             assert repr(_reduced_thetas(indices, u, path)) == repr(want), (indices, u, tau)
 

@@ -2,8 +2,8 @@
 
 reference_report runs verify's rules one trial at a time: the engine's
 _sample_binding (read from the module, as verify reads it) draws each
-binding from the id's own RNG stream,
-evaluate_identity gives its residuals, a binding whose two sides are
+trial's values and tau from the id's own RNG stream, wrapped here in a
+binding, evaluate_identity gives its residuals, a binding whose two sides are
 both below 1e-250 in magnitude is drawn again (at most 64 times), and a
 TruncationError counts as a failed trial.  The side magnitudes of that
 rule come from per_factor_values, each factor evaluated on its own.
@@ -20,8 +20,15 @@ import math
 import random
 import sys
 
-from thetakit.core import PI, TruncationError, cexp, gauss_product_theta4, theta1_prime0
-from thetakit.identities import DEFAULT_BOX, STRESS_BOX, catalog_by_id, evaluate_identity, verify
+from thetakit.core import PI, ModularParameter, TruncationError, cexp, gauss_product_theta4, theta1_prime0
+from thetakit.identities import (
+    DEFAULT_BOX,
+    STRESS_BOX,
+    VariableBinding,
+    catalog_by_id,
+    evaluate_identity,
+    verify,
+)
 from thetakit.identities import engine
 from thetakit.identities.engine import _DEGENERATE_LOG, _RESAMPLE_LIMIT
 from thetakit.reduction import HalfPeriod, _path, _reduced_theta, half_period_shift
@@ -98,7 +105,8 @@ def reference_report(identity_id, identity, trials, seed, box, rel_tol):
     failing = None
     for _ in range(trials):
         for _ in range(_RESAMPLE_LIMIT + 1):
-            binding = engine._sample_binding(rng, identity.variables, box)
+            values, tau = engine._sample_binding(rng, identity.variables, box)
+            binding = VariableBinding(dict(zip(identity.variables, values)), ModularParameter(tau))
             try:
                 abs_res, rel = evaluate_identity(identity, binding)
             except TruncationError:
