@@ -158,7 +158,6 @@ class _Plan:
     terms: tuple[tuple[complex, tuple[int, ...]], ...]
     n_lhs: int
     doubled: bool  # some factor lives at 2tau
-    walked: tuple[bool, bool]  # per slot: theta points there, so a reduced trial walks it
 
 
 _TAU_HALF_PERM = _HP_PERM[HalfPeriod.TAU_HALF]
@@ -195,8 +194,7 @@ def _compile(identity: Identity) -> _Plan:
         for fields, kinds, inner, positions in points.values()
     )
     doubled = any(f.tau_multiplier == 2 for f in unique)
-    walked = tuple(any(p[0] is None and p[1] == slot for p in compiled) for slot in (0, 1))
-    return _Plan(compiled, len(unique), terms, len(identity.lhs), doubled, walked)
+    return _Plan(compiled, len(unique), terms, len(identity.lhs), doubled)
 
 
 def _factor_values(
@@ -205,28 +203,26 @@ def _factor_values(
     """Every unique factor of the plan as (mantissa, log_scale), by position.
 
     values (in the identity's variables order) and tau = tv are plain numbers.
-    Reduced, each walked slot's tau is walked once, fresh, past the
-    cache, and each point is evaluated once: one index is one
-    _reduced_theta call and several are one _reduced_thetas call (one
-    walk of the word, bit-equal to _reduced_theta per index); mu's phase
-    joins the mantissa, and half_period_shift's multiplier is written
-    out.  Only pi, dt1, gauss4 and direct sums (use_reduction=False: no
-    walk) build a ModularParameter.  A phase's exponent has real part
+    Reduced, tau and 2tau are each walked fresh, past the cache, when a
+    theta point first needs them, and each point is evaluated once: one
+    index is one _reduced_theta call and several are one _reduced_thetas
+    call (one walk of the word, bit-equal to _reduced_theta per index);
+    mu's phase joins the mantissa, and half_period_shift's multiplier is
+    written out.  Only pi, dt1, gauss4 and direct sums (use_reduction=False:
+    no walk) build a ModularParameter.  A phase's exponent has real part
     +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
     """
     taus = (tv, 2 * tv if plan.doubled else None)  # 2tau as ModularParameter.scaled(2) holds it
     if plan.doubled and not cmath.isfinite(taus[1]):
         ModularParameter(taus[1])  # raises its ValueError
-    walk, walk2 = plan.walked if use_reduction else (False, False)  # direct sums walk nothing
-    paths = (_walk_tau(tv) if walk else None, _walk_tau(taus[1]) if walk2 else None)
+    paths = [None, None]  # each tau's walk, taken on first use
     out: list = [None] * plan.n_factors
     for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
         w = const
         for i, c in coeffs:
             w += c * values[i]
         t = taus[slot]
-        path = paths[slot]
-        if path is None or special is not None:  # pi, dt1, gauss4 and direct sums
+        if special is not None or not use_reduction:  # pi, dt1, gauss4 and direct sums
             tau = ModularParameter(t)
             for kind, position in zip(kinds, positions):
                 if kind == PI_CONST:
@@ -239,6 +235,9 @@ def _factor_values(
                     value = theta(kind, w + offset * t, tau)
                 out[position] = value, 0.0
             continue
+        path = paths[slot]
+        if path is None:
+            path = paths[slot] = _walk_tau(t)
         # a half-integer offset goes through the shift table: better
         # accuracy than summing on the Im cell boundary
         point = w + (offset - 0.5 if half else offset) * t

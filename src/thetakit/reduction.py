@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 from .core import (
@@ -214,8 +213,8 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
     """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier.
 
     The shift flips the sign of theta_r by (-1)^n for r in {1, 2} and by
-    (-1)^m for r in {1, 4}; theta_3 never.  _reduced_theta and
-    _reduced_thetas run this arithmetic inline and call _cell to raise.
+    (-1)^m for r in {1, 4}; theta_3 never, so r = 3 gives the bare
+    multiplier, to which _reduced_thetas adds each index's sign.
 
     ValueError where u is not finite, where the shift m*tv or m^2*tv
     overflows doubles, and where rounding leaves u0 outside the cell by
@@ -406,80 +405,58 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     return (complex(s.imag, -s.real) if r == 1 else s), mu + mu_cell  # -i*s for r = 1
 
 
-def _class_passes(finals: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(a0, alternating, plain position, position, rotate) per series pass, in
-    order of first use.  A paired pass (alternating None) sums both members
-    of a class, the plain sum to the plain position; rotate: theta_1's -i*s."""
-    passes = {}  # by class, in order of first use
-    for k, r in enumerate(finals):
-        a0, (plain, alternating) = (0.5, (2, 1)) if r < 3 else (0.0, (3, 4))
-        if plain in finals and alternating in finals:
-            passes[a0] = (a0, None, finals.index(plain), finals.index(alternating), r < 3)
-        else:
-            passes[a0] = (a0, r in (1, 4), None, k, r == 1)
-    return tuple(passes.values())
-
-
-# a constant, not a cache: the passes of every ordered tuple of distinct indices (64)
-_PASSES = {f: _class_passes(f) for size in range(1, 5) for f in permutations((1, 2, 3, 4), size)}
-
-
 def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
     """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
 
-    indices is a tuple of distinct indices.  The word is walked once:
-    u/tau and an S token's common part const - i*pi*u^2/tau of mu do not
-    depend on the index.  Each index adds to mu as _walk does, in the
-    same order: that part, plus i*pi/2 at index 1, or the T constant at 1
-    and 2, else 0j; an empty word skips both walks.  _cell's arithmetic
-    runs once, inline, its sign per index.  The window test is
-    _reduced_theta's.  Each half-integer class (a0 = 0 for {3, 4}, 1/2
-    for {1, 2}) takes one window and one _series loop, as _PASSES lists.
-    ValueError as _reduced_theta.
+    The word is walked once: u/tau and an S token's common part
+    const - i*pi*u^2/tau of mu do not depend on the index.  Each index
+    adds to mu as _walk does, in the same order: that part, plus i*pi/2
+    at index 1, or the T constant at 1 and 2, else 0j.  _cell runs once
+    and its sign goes on per index.  The fixed window test is
+    _reduced_theta's; only off it is a ModularParameter built for
+    _window.  Each half-integer class, a0 = 0 for {3, 4} and 1/2 for
+    {1, 2}, takes one window and one series pass, both members in one
+    _series loop.  ValueError as _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)
-    finals, mus = indices, (0j,) * len(indices)  # _walk's result for an empty word
-    if tokens:
-        steps = []  # per token: what mu gains at index 1, 2, 3, 4, and the index map
-        for step, t, const, perm in tokens:
-            if step is _S:
-                common = const - 1j * PI * u * u / t
-                steps.append(((common + 0.5j * PI, common, common, common), perm))
-                u = u / t
-            else:
-                steps.append(((const, const, 0j, 0j), perm))
-        finals, mus = [], []
-        for r in indices:
-            mu = 0j
-            for gains, perm in steps:
-                mu += gains[r - 1]
-                r = perm[r - 1]
-            finals.append(r)
-            mus.append(mu)
-        finals = tuple(finals)
-    try:  # _cell, inline
-        m = round(u.imag / tv.imag)
-        u1 = u - m * tv
-        n = round(u1.real)
-        u0 = u1 - n
-        mu_cell = -1j * PI * (2 * m * u0 + m * m * tv)
-    except (OverflowError, ValueError):
-        _cell(3, u, tv)  # raises its ValueError
-        raise
-    if abs(u0.imag) > tv.imag:
-        _cell(3, u, tv)  # raises: outside the cell
+    steps = []  # per token: what mu gains at index 1, 2, 3, 4, and the index map
+    for step, t, const, perm in tokens:
+        if step is _S:
+            common = const - 1j * PI * u * u / t
+            steps.append(((common + 0.5j * PI, common, common, common), perm))
+            u = u / t
+        else:
+            steps.append(((const, const, 0j, 0j), perm))
+    u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
+    odd_n, odd_m = n % 2 == 1, m % 2 == 1
     flipped = mu_cell + 1j * PI
-    flips = ((n ^ m) & 1, n & 1, 0, m & 1)  # (-1)^n flips theta_1, theta_2; (-1)^m theta_1, theta_4
+    ends = []  # per index: the index after the word, and its multiplier
+    for r in indices:
+        mu = 0j
+        for gains, perm in steps:
+            mu += gains[r - 1]
+            r = perm[r - 1]
+        ends.append((r, mu + (flipped if (odd_n and r < 3) ^ (odd_m and r in (1, 4)) else mu_cell)))
+    wanted = {r for r, _ in ends}
     fixed = tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag
-    sums = [None] * len(finals)
-    for a0, alternating, plain, k, rotate in _PASSES[finals]:
-        window = N if fixed else _window(ModularParameter(tv), u0, a0)
-        s = _series(window, a0, u0, tv, alternating, q2)
-        if alternating is None:  # a paired pass: (plain, alternating)
-            sums[plain], s = s
-        sums[k] = complex(s.imag, -s.real) if rotate else s  # -i*s, as for r = 1 alone
-    return [(v, mu + (flipped if flips[r - 1] else mu_cell)) for v, mu, r in zip(sums, mus, finals)]
+    tau = None if fixed else ModularParameter(tv)  # for _window only
+    sums = [None, None, None, None]
+    for r, _ in ends:
+        if sums[r - 1] is not None:
+            continue
+        a0 = 0.5 if r < 3 else 0.0
+        window = N if fixed else _window(tau, u0, a0)
+        if (r + 1 if r % 2 else r - 1) in wanted:  # the other member of r's class
+            plain, s = _series(window, a0, u0, tv, None, q2)
+            if r < 3:
+                sums[1], sums[0] = plain, complex(s.imag, -s.real)  # -i*s, as for r = 1 alone
+            else:
+                sums[2], sums[3] = plain, s
+        else:
+            s = _series(window, a0, u0, tv, r in (1, 4), q2)
+            sums[r - 1] = complex(s.imag, -s.real) if r == 1 else s
+    return [(sums[r - 1], mu) for r, mu in ends]
 
 
 def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
