@@ -493,6 +493,69 @@ def test_tau_too_small_to_reduce_raises_value_error():
     assert word == (ModularStep.S,) and math.isfinite(end.tau.imag)
 
 
+def _reference_walk(tv):
+    """_walk_tau written with one _token call per token and q2 from _nome_sq."""
+    from thetakit.core import _nome_sq
+    from thetakit.reduction import _token
+
+    t = tv
+    tokens = []
+    while True:
+        shift = round(t.real)
+        if shift:
+            tokens.append(_token(-shift, t))
+            t -= shift
+        if abs(t) >= 1.0:
+            return tuple(tokens), t, _nome_sq(t)
+        tokens.append(_token(ModularStep.S, t))
+        t = -1.0 / t
+        if not cmath.isfinite(t):
+            raise ValueError(f"Im(tau)={tv.imag!r} is too small to reduce: -1/tau overflows")
+
+
+def _walk_pin_taus():
+    rng = random.Random("walk-pin")
+    taus = []
+    for k in range(-20, 21):  # every shift residue mod 8, both signs
+        taus += [complex(k + 0.1, 2.0), complex(k - 0.3, 0.6), complex(k + 0.45, 0.05)]
+    for re_tau in (1e15, 1e15 + 0.25, 987654321.123, 2.0**52 + 1.0, -997.3, 123456.5):
+        taus += [complex(re_tau, 0.7), complex(-re_tau, 0.7)]
+    for sign in (1.0, -1.0):  # eval-grid's long words: 0.382 at Im 1e-3, next to +-3
+        taus += [complex(sign * 0.382, 1e-3), complex(sign * 0.381966, 9.5e-4)]
+        taus += [complex(sign * 3.0002, 0.004), complex(sign * 2.9975, 0.03), complex(sign * 3.003, 0.035)]
+    for im_tau in (0.5, 1.0, 3.0, 1e-3):
+        taus += [complex(0.0, im_tau), complex(-0.0, im_tau)]
+    for regime in ("default", "stress", "cusp", "large-re"):
+        taus += [_regime_tau(rng, regime) for _ in range(100)]
+    return taus
+
+
+def test_walk_tau_is_pinned_to_the_token_by_token_walk_bit_for_bit():
+    from thetakit.reduction import _walk_tau
+
+    residues = set()
+    for tv in _walk_pin_taus():
+        got = _walk_tau(tv, math.copysign(1.0, tv.real))
+        assert repr(got) == repr(_reference_walk(tv)), tv  # tokens, end and q2, signed zeros too
+        for step, _, const, _ in got[0]:
+            if step is not ModularStep.S:
+                assert type(step) is int
+                assert repr(const) == repr(-0.25j * PI * (((step + 4) % 8) - 4))
+                residues.add((step > 0, step % 8))
+    assert len(residues) == 16
+
+
+def test_walk_tau_overflow_message_is_pinned():
+    from thetakit.reduction import _walk_tau
+
+    for tv in (1e-310j, complex(-0.0, 1e-310), complex(1e-320, 1e-310)):
+        with pytest.raises(ValueError) as want:
+            _reference_walk(tv)
+        with pytest.raises(ValueError) as got:
+            _walk_tau(tv)
+        assert str(got.value) == str(want.value) == "Im(tau)=1e-310 is too small to reduce: -1/tau overflows"
+
+
 
 _I = ModularParameter(1j)
 _NOT_FINITE = r"u'=\(?inf\+0(\.5)?j\)? is not finite"
