@@ -44,6 +44,7 @@ __all__ = [
 PI = math.pi
 _TWO_PI = 2.0 * math.pi
 _IPI = 1j * PI
+_TWO_IPI = 2.0 * _IPI  # _nome_sq's factor, bit-equal to 2.0 * (1j * PI)
 
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0
@@ -234,7 +235,7 @@ def _window(tau: ModularParameter, u: complex, a: float) -> int:
 
 def _nome_sq(tv: complex) -> complex:
     """q^2 = exp(2*pi*i*tv), the last factor of _series' term recurrence."""
-    return cmath.exp(2.0 * (1j * PI) * tv)
+    return cmath.exp(_TWO_IPI * tv)
 
 
 def _series(

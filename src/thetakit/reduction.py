@@ -37,10 +37,11 @@ from .core import (
     theta_product,
     _CELL_IM_TAU,
     _EXP_MAX,
+    _IPI,
+    _TWO_IPI,
     _check_index,
     _exp_multiplier,
     _multiplier_overflow,
-    _nome_sq,
     _series,
     _window,
 )
@@ -89,6 +90,9 @@ class HalfPeriod(str, Enum):
 _IDENT_PERM = (1, 2, 3, 4)
 _T_PERM = (1, 2, 4, 3)  # tau -> tau + k swaps indices 3 and 4 for odd k
 _S_PERM = (1, 4, 3, 2)  # tau -> -1/tau swaps indices 2 and 4
+_HALF_IPI = 0.5j * PI
+# T^k's phase at r in {1, 2} by -k mod 8: index j holds k = -j, with k reduced into [-4, 4)
+_T_PHASE = tuple(-0.25j * PI * (((-j + 4) % 8) - 4) for j in range(8))
 
 
 class ThetaTransformRecord(NamedTuple):
@@ -171,8 +175,7 @@ def _token(step: ModularStep | int, tv: complex) -> tuple:
     """
     if step is _S:
         return step, tv, -0.5 * cmath.log(-1j * tv), _S_PERM
-    perm = _T_PERM if step % 2 else _IDENT_PERM
-    return step, tv, -0.25j * PI * (((step + 4) % 8) - 4), perm
+    return step, tv, _T_PHASE[-step % 8], _T_PERM if step % 2 else _IDENT_PERM
 
 
 def _walk(tokens, r: int, u: complex) -> tuple[complex, int, complex]:
@@ -180,9 +183,9 @@ def _walk(tokens, r: int, u: complex) -> tuple[complex, int, complex]:
     mu = 0j
     for step, tv, const, perm in tokens:
         if step is _S:
-            step_mu = const - 1j * PI * u * u / tv
+            step_mu = const - _IPI * u * u / tv
             if r == 1:
-                step_mu += 0.5j * PI
+                step_mu += _HALF_IPI
             mu += step_mu
             u = u / tv
         else:
@@ -243,7 +246,7 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
             f"(|Im u0|={abs(u0.imag):.3g} > Im tau'={tv.imag:.3g})"
         )
     if ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4)):
-        mu += 1j * PI
+        mu += _IPI
     return u0, n, m, mu
 
 
@@ -309,19 +312,20 @@ def _walk_tau(tv: complex, re_sign: float | None = None) -> tuple:
     t - shift, which is exact: both operands are multiples of ulp(Re t)
     and the result is at most 1/2.  Each S step is one token and
     t = -1/t.  The walk ends once |t| >= 1 and terminates because every
-    S step strictly increases Im(t) while |t| < 1.  The tokens are
-    _token's; q2 = _nome_sq(end) (see core._series).
+    S step strictly increases Im(t) while |t| < 1.  Each token is built
+    in this loop, bit-equal to _token's (the T phase from _T_PHASE), and
+    q2 = exp(2*pi*i*end), bit-equal to core._nome_sq(end).
     """
     t = tv
     tokens = []
     while True:
         shift = round(t.real)
         if shift:
-            tokens.append(_token(-shift, t))
+            tokens.append((-shift, t, _T_PHASE[shift % 8], _T_PERM if shift % 2 else _IDENT_PERM))
             t -= shift
         if abs(t) >= 1.0:
-            return tuple(tokens), t, _nome_sq(t)
-        tokens.append(_token(_S, t))
+            return tuple(tokens), t, cmath.exp(_TWO_IPI * t)
+        tokens.append((_S, t, -0.5 * cmath.log(-1j * t), _S_PERM))
         t = -1.0 / t
         if not cmath.isfinite(t):
             raise ValueError(
@@ -395,7 +399,7 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     if abs(u0.imag) > tv.imag:
         _cell(r, u, tv)  # raises: outside the cell
     if ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4)):
-        mu_cell += 1j * PI
+        mu_cell += _IPI
     a0 = 0.5 if r < 3 else 0.0
     if tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag:
         window = N
@@ -423,14 +427,14 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     steps = []  # per token: what mu gains at index 1, 2, 3, 4, and the index map
     for step, t, const, perm in tokens:
         if step is _S:
-            common = const - 1j * PI * u * u / t
-            steps.append(((common + 0.5j * PI, common, common, common), perm))
+            common = const - _IPI * u * u / t
+            steps.append(((common + _HALF_IPI, common, common, common), perm))
             u = u / t
         else:
             steps.append(((const, const, 0j, 0j), perm))
     u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
     odd_n, odd_m = n % 2 == 1, m % 2 == 1
-    flipped = mu_cell + 1j * PI
+    flipped = mu_cell + _IPI
     ends = []  # per index: the index after the word, and its multiplier
     for r in indices:
         mu = 0j
