@@ -345,7 +345,8 @@ def verify(
     report order and values do not depend on which other ids are
     selected.  Bindings where both sides are numerically negligible are
     resampled, at most _RESAMPLE_LIMIT times per trial; an exhausted
-    truncation counts as a failed trial.  Raises UnknownIdentityError
+    truncation, or a draw that cannot be reduced (ValueError), counts as
+    a failed trial.  Raises UnknownIdentityError
     for ids not in the catalog (the built-in one unless another mapping
     is supplied); ValueError unless trials >= 1 and 0 < rel_tol < inf.
     """
@@ -369,7 +370,7 @@ def verify(
                 values, tau = _sample_binding(rng, variables, box)
                 try:
                     abs_res, rel, log_mag = _evaluate_plan(plan, values, tau)
-                except TruncationError:  # a failed trial, not an aborted run
+                except (TruncationError, ValueError):  # a failed trial, not an aborted run
                     abs_res = rel = log_mag = math.inf
                 if not log_mag < _DEGENERATE_LOG:
                     break

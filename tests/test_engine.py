@@ -257,6 +257,23 @@ def test_verify_reports_truncation_exhaustion_as_failure():
     assert report.failing_binding is not None
 
 
+def test_verify_reports_an_unreducible_draw_as_failure():
+    # at Im tau ~ 1e-310 the lattice shift of u overflows doubles: each
+    # trial fails with abs = rel = inf and the run goes on, as for a
+    # TruncationError; the first failing draw is the one reported
+    from thetakit.identities import SamplingBox
+    from thetakit.identities.engine import _sample_binding
+
+    box = SamplingBox(tau_im=(1e-310, 1e-309))
+    (report,) = verify(["B.I.1"], trials=2, seed=42, box=box)
+    assert report.max_abs_residual == report.max_rel_residual == float("inf")
+    variables = catalog_by_id()["B.I.1"].variables
+    values, tau = _sample_binding(random.Random("42:B.I.1"), variables, box)
+    assert report.failing_binding.tau.tau == tau
+    assert list(report.failing_binding.values.values()) == list(values)
+    assert mismatches(["B.I.1", "P.bc3c", "W.I.r1"], trials=2, seed=42, box=box) == []
+
+
 @pytest.mark.parametrize(
     "tau_im",
     [(-1.0, 1.0), (0.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")), (2.0, 1.0)],

@@ -5,7 +5,8 @@ _sample_binding (read from the module, as verify reads it) draws each
 trial's values and tau from the id's own RNG stream, wrapped here in a
 binding, evaluate_identity gives its residuals, a binding whose two sides are
 both below 1e-250 in magnitude is drawn again (at most 64 times), and a
-TruncationError counts as a failed trial.  The side magnitudes of that
+TruncationError or a ValueError (a draw that cannot be reduced) counts as
+a failed trial.  The side magnitudes of that
 rule come from per_factor_values, each factor evaluated on its own.
 
 Run as a script, it checks verify against the reference over the whole
@@ -109,7 +110,7 @@ def reference_report(identity_id, identity, trials, seed, box, rel_tol):
             binding = VariableBinding(dict(zip(identity.variables, values)), ModularParameter(tau))
             try:
                 abs_res, rel = evaluate_identity(identity, binding)
-            except TruncationError:
+            except (TruncationError, ValueError):
                 abs_res = rel = math.inf
                 break
             if not _degenerate(identity, binding):
