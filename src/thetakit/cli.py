@@ -235,22 +235,17 @@ def _cmd_verify(args) -> int:
     wall_time = time.perf_counter() - started
 
     # the JSON report leaves out the wall time, so identical runs are byte-identical
-    rows = []
-    for report in reports:
-        passed = report.max_rel_residual <= args.tol
-        print(
-            f"{'pass' if passed else 'FAIL'}  {report.identity_id:<14} "
-            f"trials={report.trials} max_rel={report.max_rel_residual:.3e} "
-            f"max_abs={report.max_abs_residual:.3e}"
-        )
-        rows.append({
-            "id": report.identity_id,
-            "trials": report.trials,
-            "seed": args.seed,
-            "max_abs": report.max_abs_residual,
-            "max_rel": report.max_rel_residual,
-            "status": "pass" if passed else "fail",
-        })
+    rows = [
+        {"id": report.identity_id, "trials": report.trials, "seed": args.seed,
+         "max_abs": report.max_abs_residual, "max_rel": report.max_rel_residual,
+         "status": "pass" if report.max_rel_residual <= args.tol else "fail"}
+        for report in reports
+    ]
+    sys.stdout.write("".join(  # the per-id lines in one write
+        f"{'pass' if row['status'] == 'pass' else 'FAIL'}  {row['id']:<14} trials={row['trials']} "
+        f"max_rel={row['max_rel']:.3e} max_abs={row['max_abs']:.3e}\n"
+        for row in rows
+    ))
     all_pass = all(row["status"] == "pass" for row in rows)
     print(
         f"# {len(rows)} identities, seed={args.seed}, trials={args.trials}, "
@@ -269,9 +264,8 @@ def _cmd_verify(args) -> int:
             "all_pass": all_pass,
             "reports": rows,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(args.json, "w", encoding="utf-8") as fh:  # one write, not json.dump's chunks
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
@@ -326,9 +320,13 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first main() call and reused: parse_args leaves it as it was
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else list(argv)))
+    global _parser
+    _parser = _parser or _build_parser()
+    args = _parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # raised by _modular with a code

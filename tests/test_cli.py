@@ -8,6 +8,7 @@ import pytest
 from thetakit.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_ID,
+    EXIT_VERIFY_FAIL,
     EXIT_USAGE,
     format_complex,
     main,
@@ -226,6 +227,39 @@ class TestVerify:
         assert code == EXIT_OK
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "2af2726f68e4a6bbcfd22b57bff31c48ac5d0d0f2df4c8c481e1d9c83574854c"
+
+    def test_per_id_lines_are_unchanged(self, capsys):
+        # the lines as print() wrote them one at a time, failures included
+        argv = ["verify", "--id", "B.I.2", "--id", "TC.tc1", "--id", "G.g1", "--trials", "2",
+                "--seed", "9", "--stress", "--tol", "2e-15"]
+        assert main(argv) == EXIT_VERIFY_FAIL
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert lines[:3] == [
+            "FAIL  B.I.2          trials=2 max_rel=4.661e-15 max_abs=1.148e-04\n",
+            "pass  TC.tc1         trials=2 max_rel=1.772e-15 max_abs=1.567e-13\n",
+            "FAIL  G.g1           trials=2 max_rel=2.710e-15 max_abs=4.451e-15\n",
+        ]
+        assert lines[3].startswith("# 3 identities, seed=9, trials=2, tol=2e-15, FAILURES PRESENT (")
+        assert len(lines) == 4
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        from thetakit import cli
+
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        runs = [["reduce", "--tau", "0.3+0.8i"], ["eval", "--r", "3", "--tau", "1i"]]
+        outs = []
+        for _ in range(2):
+            for argv in runs:
+                assert main(argv) == EXIT_OK
+                outs.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit):  # argparse's own usage error leaves the parser as it was
+                main(["eval", "--tau", "1i"])
+            capsys.readouterr()
+        assert outs[:2] == outs[2:] == ["word       S\ntau'       -0.41095890410958896+1.095890410958904i\n", "1.086434811213308+0i\n"]
+        assert len(built) == 1
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
