@@ -44,7 +44,7 @@ __all__ = [
 PI = math.pi
 _TWO_PI = 2.0 * math.pi
 _IPI = 1j * PI
-_TWO_IPI = 2.0 * _IPI  # _nome_sq's factor, bit-equal to 2.0 * (1j * PI)
+_TWO_IPI = 2.0 * _IPI  # q^2 = exp(_TWO_IPI * tau)
 
 # exp() overflows just above this; used to saturate rather than raise.
 _EXP_MAX = 709.0

@@ -346,9 +346,9 @@ def verify(
     selected.  Bindings where both sides are numerically negligible are
     resampled, at most _RESAMPLE_LIMIT times per trial; an exhausted
     truncation, or a draw that cannot be reduced (ValueError), counts as
-    a failed trial.  Raises UnknownIdentityError
-    for ids not in the catalog (the built-in one unless another mapping
-    is supplied); ValueError unless trials >= 1 and 0 < rel_tol < inf.
+    a failed trial.  Raises UnknownIdentityError for ids not in the
+    catalog (the built-in one unless another mapping is supplied);
+    ValueError unless trials >= 1 and 0 < rel_tol < inf.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
