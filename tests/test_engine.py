@@ -540,3 +540,65 @@ def test_a_2tau_past_the_double_range_raises_value_error():
     binding = VariableBinding({n: 0.1j for n in ident.variables}, ModularParameter(1e308 + 1j))
     with pytest.raises(ValueError, match="tau must be finite"):
         evaluate_identity(ident, binding)
+
+
+def _residual_digest(identities, boxes, bindings, use_reduction):
+    """sha256 over evaluate_identity at seeded bindings, an exception
+    recorded by its type name."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for box_name, box in boxes:
+        for ident in identities:
+            rng = random.Random(f"pin:{use_reduction}:{box_name}:{ident.id}")
+            for _ in range(bindings):
+                values = {n: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for n in ident.variables}
+                tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
+                try:
+                    got = evaluate_identity(ident, VariableBinding(values, tau), use_reduction)
+                except (ArithmeticError, ValueError) as exc:
+                    got = type(exc).__name__
+                digest.update(f"{box_name} {ident.id} {got!r}\n".encode())
+    return digest.hexdigest()
+
+
+# the direct-summation route over every catalog id (default box, three
+# bindings each) and the reduced route of HALF_OFFSETS, whose half-integer
+# offsets and 2tau factors few catalog ids have (both boxes, 20 each)
+UNREDUCED_ALL_SHA256 = "22ba33ee605e0af4023c23dce4f96e31289684b33d6c42bc3d01c3a05ca51316"
+HALF_OFFSETS_SHA256 = "e69c4c4fa37a04adaa2db976cfc79a2e4a36062c1022c1b77438006d30b62879"
+
+
+def test_unreduced_residuals_of_every_id_are_pinned_bit_for_bit():
+    from thetakit.identities import DEFAULT_BOX
+
+    identities = [ident for _, ident in sorted(catalog_by_id().items())]
+    got = _residual_digest(identities, [("default", DEFAULT_BOX)], 3, use_reduction=False)
+    assert got == UNREDUCED_ALL_SHA256
+
+
+def test_half_offset_residuals_are_pinned_bit_for_bit():
+    from thetakit.identities import DEFAULT_BOX
+
+    boxes = [("default", DEFAULT_BOX), ("stress", STRESS_BOX)]
+    assert _residual_digest([HALF_OFFSETS], boxes, 20, use_reduction=True) == HALF_OFFSETS_SHA256
+
+
+# the id is never read while an identity is evaluated
+@pytest.mark.parametrize("identity_id", ["B.I.1", "P.bc3c", "TC.tc1", "G.g1", "D.df2a", "half-offsets"])
+def test_an_id_with_quotes_and_newlines_evaluates_as_a_plain_one(identity_id):
+    from thetakit.identities.engine import _compile, _factor_values
+
+    ident = HALF_OFFSETS if identity_id == "half-offsets" else catalog_by_id()[identity_id]
+    quoted = dataclasses.replace(ident, id='a"b\'c\nd # e')
+    rng = random.Random(f"quoted:{identity_id}")
+    for _ in range(3):
+        values = {n: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for n in ident.variables}
+        tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 2.0)))
+        binding = VariableBinding(values, tau)
+        for use_reduction in (True, False):
+            want = _outcome(lambda: evaluate_identity(ident, binding, use_reduction))
+            assert _outcome(lambda: evaluate_identity(quoted, binding, use_reduction)) == want
+            draw = tuple(values.values()), tau.tau, use_reduction
+            want = _outcome(lambda: _factor_values(_compile(ident), *draw))
+            assert _outcome(lambda: _factor_values(_compile(quoted), *draw)) == want
