@@ -265,8 +265,18 @@ def _cmd_verify(args) -> int:
             "reports": rows,
         }
         with open(args.json, "w", encoding="utf-8") as fh:  # one write, not json.dump's chunks
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write(_report_json(payload) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
+
+
+def _report_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) for verify's report: scalars
+    and one list of flat dicts.  indent=None lets json use its C encoder."""
+    rows = json.dumps(payload["reports"], sort_keys=True, separators=(",\n      ", ": "))
+    if rows != "[]":  # between rows a separator follows "}", within one it never does
+        rows = "[\n    {\n      " + rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+    head = json.dumps({**payload, "reports": 0}, sort_keys=True, separators=(",\n  ", ": "))
+    return "{\n  " + head[1:-1].replace('"reports": 0', '"reports": ' + rows, 1) + "\n}"
 
 
 def _cmd_catalog(args) -> int:

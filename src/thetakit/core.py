@@ -488,13 +488,14 @@ def gauss_product_theta4(tau: ModularParameter) -> complex:
     """theta_4(0|tau) as the alternating product prod (1-q^n)/(1+q^n).
 
     A route independent of both the series and the triple product.
+    TruncationError past _MAX_TERMS factors, or at once where |q| rounds to 1.
     """
     q = tau.q
     aq = abs(q)
     p = 1.0 + 0j
     qn = 1.0 + 0j
     an = 1.0
-    for n in range(1, _MAX_TERMS + 1):
+    for n in range(1, _MAX_TERMS + 1 if aq < 1.0 else 1):  # no tail bound at |q| = 1
         qn *= q
         an *= aq
         p *= (1.0 - qn) / (1.0 + qn)

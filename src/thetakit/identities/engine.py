@@ -1,14 +1,17 @@
 """Numerical evaluation and randomized verification of catalog identities.
 
 Each identity is compiled once into a plan of plain numbers (_Plan),
-whose factors are grouped by the point where they are evaluated.  A
-verify trial runs on plain numbers from the draw to the residual: it
-walks its fresh tau (and 2tau) once, evaluates every unique point once
-for all its theta indices (one walk of the word, one lattice cell and
-one series pass per half-integer class, bit-equal to one evaluation
-per index), by full reduction or, with use_reduction=False, by direct
-summation per factor, and builds a binding only for a report's first
-failure.  The engine runs at core's _TOL and _MAX_TERMS.
+whose factors are grouped by the point where they are evaluated.  On
+first use the plan is written out as one straight-line Python function
+per route (_generate), as dataclasses writes its methods: no loop over
+the plan runs per trial.  A verify trial calls it on plain numbers from
+the draw to the residual: it walks its fresh tau (and 2tau) once,
+evaluates every unique point once for all its theta indices (one walk of
+the word, one lattice cell and one series pass per half-integer class,
+bit-equal to one evaluation per index), by full reduction or, with
+use_reduction=False, by direct summation per factor, and builds a
+binding only for a report's first failure.  The engine runs at core's
+_TOL and _MAX_TERMS.
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -24,8 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import types
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..core import (
     PI,
@@ -159,6 +163,16 @@ class _Plan:
     n_lhs: int
     doubled: bool  # some factor lives at 2tau
 
+    @cached_property
+    def trial(self):
+        """The reduced route, generated on first use (see _generate)."""
+        return _generate(self, True)
+
+    @cached_property
+    def direct(self):
+        """The direct-summation route, generated on first use."""
+        return _generate(self, False)
+
 
 _TAU_HALF_PERM = _HP_PERM[HalfPeriod.TAU_HALF]
 _TAU_HALF_QUARTERS = _HP_PHASE_QUARTERS[HalfPeriod.TAU_HALF]
@@ -197,112 +211,116 @@ def _compile(identity: Identity) -> _Plan:
     return _Plan(compiled, len(unique), terms, len(identity.lhs), doubled)
 
 
-def _factor_values(
-    plan: _Plan, values, tv: complex, use_reduction: bool
-) -> list[tuple[complex, float]]:
-    """Every unique factor of the plan as (mantissa, log_scale), by position.
+_SPECIAL = {DTHETA1: "theta1_prime0", GAUSS4: "gauss_product_theta4"}
 
-    values (in the identity's variables order) and tau = tv are plain numbers.
+
+def _generate(plan: _Plan, use_reduction: bool):
+    """The plan written out as one function trial(values, tv, factors=False).
+
+    values (in the identity's variables order) and tau = tv are plain
+    numbers.  The function returns (absolute residual, relative residual,
+    log magnitude of the larger side), or with factors=True every unique
+    factor as (mantissa, log_scale), by position.  It does the plan's
+    arithmetic operation for operation, with no algebraic shortcut (a
+    leading 0.0 + or 0j +, 1 * v, + 0.0 * t), so that each factor is
+    bit-equal to its evaluation on its own (tests/trial_reference.py).
+
     Reduced, tau and 2tau are each walked fresh, past the cache, when a
     theta point first needs them, and each point is evaluated once: one
     index is one _reduced_theta call and several are one _reduced_thetas
     call (one walk of the word, bit-equal to _reduced_theta per index);
     mu's phase joins the mantissa, and half_period_shift's multiplier is
     written out.  Only pi, dt1, gauss4 and direct sums (use_reduction=False:
-    no walk) build a ModularParameter.  A phase's exponent has real part
-    +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
+    no walk) build a ModularParameter, one per slot.  A phase's exponent has
+    real part +-0 (nan at an infinite angle), where cexp is cmath.exp: no
+    saturation.
+
+    The source holds names and integers only.  Every float, complex and
+    theta index is a parameter default, so plans that differ only in those
+    share one code object.  Callees resolve in this module's globals, where
+    tests and tracers replace them.
     """
-    taus = (tv, 2 * tv if plan.doubled else None)  # 2tau as ModularParameter.scaled(2) holds it
-    if plan.doubled and not cmath.isfinite(taus[1]):
-        ModularParameter(taus[1])  # raises its ValueError
-    paths = [None, None]  # each tau's walk, taken on first use
-    out: list = [None] * plan.n_factors
+    consts: dict = {}  # key -> (parameter name, value)
+
+    def k(value, datum=False) -> str:
+        # a datum of the identity gets a name of its own, so the text does not
+        # depend on which of its values happen to be equal; a fixed constant
+        # is shared, keyed by repr, which keeps -0.0 apart from 0.0
+        return consts.setdefault(len(consts) if datum else repr(value), (f"k{len(consts)}", value))[0]
+
+    zero, phase, taus = k(0.0), k(1j), ("tv", "t1")
+    lines = ["t1 = 2 * tv", "if not cmath.isfinite(t1): ModularParameter(t1)"] if plan.doubled else []
+    ready = set()  # each slot's walk or ModularParameter, made at the first point that uses it
     for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
-        w = const
-        for i, c in coeffs:
-            w += c * values[i]
-        t = taus[slot]
-        if special is not None or not use_reduction:  # pi, dt1, gauss4 and direct sums
-            tau = ModularParameter(t)
-            for kind, position in zip(kinds, positions):
-                if kind == PI_CONST:
-                    value = complex(PI)
-                elif kind == DTHETA1:
-                    value = theta1_prime0(tau)
-                elif kind == GAUSS4:
-                    value = gauss_product_theta4(tau)
-                else:
-                    value = theta(kind, w + offset * t, tau)
-                out[position] = value, 0.0
+        t, direct = taus[slot], special is not None or not use_reduction
+        tau = f"{'mp' if direct else 'p'}{slot}"
+        if tau not in ready:
+            ready.add(tau)
+            lines.append(f"{tau} = {'ModularParameter' if direct else '_walk_tau'}({t})")
+        if special is not None:
+            value = k(complex(PI)) if special == PI_CONST else f"{_SPECIAL[special]}({tau})"
+            lines.append(f"m{positions[0]}, s{positions[0]} = {value}, {zero}")
             continue
-        path = paths[slot]
-        if path is None:
-            path = paths[slot] = _walk_tau(t)
-        # a half-integer offset goes through the shift table: better
-        # accuracy than summing on the Im cell boundary
-        point = w + (offset - 0.5 if half else offset) * t
-        if half:  # rare: half_period_shift's multiplier, written out
-            for kind, position, (value, mu) in zip(kinds, positions, _reduced_thetas(inner, point, path)):
-                shift = 0.5j * PI * _TAU_HALF_QUARTERS[kind] + -1j * PI * (point + t / 4.0)
-                mantissa = value * cmath.exp(1j * mu.imag) * cmath.exp(1j * shift.imag)
-                out[position] = mantissa, mu.real + shift.real
-        elif len(inner) == 1:
-            value, mu = _reduced_theta(inner[0], point, path)
-            out[positions[0]] = value * cmath.exp(1j * mu.imag), mu.real
+        w = " + ".join([k(const, True), *(f"{c} * values[{i}]" for i, c in coeffs)])
+        if direct:
+            lines.append(f"w = {w}")
+            for r, p in zip(kinds, positions):
+                lines.append(f"m{p}, s{p} = theta({k(r, True)}, w + {k(offset, True)} * {t}, {tau}), {zero}")
         else:
-            for position, (value, mu) in zip(positions, _reduced_thetas(inner, point, path)):
-                out[position] = value * cmath.exp(1j * mu.imag), mu.real
-    return out
+            # a half-integer offset goes through the shift table: better
+            # accuracy than summing on the Im cell boundary
+            lines.append(f"q = {w} + {k(offset - 0.5 if half else offset, True)} * {t}")
+            got = ", ".join(f"(x{p}, u{p})" for p in positions)
+            if half or len(inner) > 1:
+                lines.append(f"{got}, = _reduced_thetas({k(inner, True)}, q, {tau})")
+            else:
+                lines.append(f"{got} = _reduced_theta({k(inner[0], True)}, q, {tau})")
+            if half:  # rare: half_period_shift's multiplier, written out
+                lines.append(f"h = {k(-1j * PI)} * (q + {t} / {k(4.0)})")
+            for r, p in zip(kinds, positions):
+                m = f"x{p} * cmath.exp({phase} * u{p}.imag)"
+                if half:
+                    lines.append(f"h{p} = {k(0.5j * PI * _TAU_HALF_QUARTERS[r], True)} + h")
+                    lines.append(f"m{p}, s{p} = {m} * cmath.exp({phase} * h{p}.imag), u{p}.real + h{p}.real")
+                else:
+                    lines.append(f"m{p}, s{p} = {m}, u{p}.real")
+    lines.append(f"if factors: return [{', '.join(f'(m{p}, s{p})' for p in range(plan.n_factors))}]")
+    terms = range(len(plan.terms))
+    for j, (coefficient, indices) in enumerate(plan.terms):
+        lines.append(f"a{j} = {' * '.join([k(coefficient, True), *(f'm{p}' for p in indices)])}")
+        lines.append(f"e{j} = {' + '.join([zero, *(f's{p}' for p in indices)])}")
+    finite = " and ".join(f"cmath.isfinite(a{j})" for j in terms)
+    lines += [f"if not ({finite}): return math.inf, math.inf, math.inf", "g = -math.inf"]
+    lines += [f"if a{j} != 0 and e{j} > g: g = e{j}" for j in terms]
+    lines.append(f"if g == -math.inf: return {zero}, {zero}, -math.inf  # every term is exactly zero")
+    lines += [f"z{j} = a{j} * math.exp(min(e{j} - g, {zero}))" for j in terms]
+    for side, js in (("lhs", terms[: plan.n_lhs]), ("rhs", terms[plan.n_lhs :])):
+        lines.append(f"{side} = {' + '.join([k(0j), *(f'z{j}' for j in js)])}")
+        lines.append(f"{side}_mag = {' + '.join([zero, *(f'abs(z{j})' for j in js)])}")
+    lines += [
+        "diff = abs(lhs - rhs)",
+        f"floor = {k(_LOG_EPS)} - g",
+        f"floor = math.exp(floor) if floor < {k(700.0)} else math.inf",
+        "rel = diff / (floor + (lhs_mag + rhs_mag))",
+        f"abs_res = {zero} if diff == 0 else math.inf if g > {k(700.0)} else diff * math.exp(g)",
+        "lhs_log = g + math.log(lhs_mag) if lhs_mag > 0 else -math.inf",
+        "return abs_res, rel, max(lhs_log, g + math.log(rhs_mag) if rhs_mag > 0 else -math.inf)",
+    ]
+    names, values = zip(*consts.values())
+    source = f"def trial(values, tv, factors, {', '.join(names)}):\n    " + "\n    ".join(lines) + "\n"
+    return types.FunctionType(_code(source), globals(), "trial", (False, *values))
 
 
-def _evaluate_plan(
-    plan: _Plan, values, tv: complex, use_reduction: bool = True
-) -> tuple[float, float, float]:
-    """(absolute residual, relative residual, log magnitude of the larger side)."""
-    factors = _factor_values(plan, values, tv, use_reduction)
-    mantissas = []
-    scales = []
-    log_max = -math.inf
-    finite = True
-    for coefficient, indices in plan.terms:
-        mantissa = coefficient
-        scale = 0.0
-        for i in indices:
-            m, s = factors[i]
-            mantissa *= m
-            scale += s
-        if not cmath.isfinite(mantissa):
-            finite = False
-        if mantissa != 0 and scale > log_max:
-            log_max = scale
-        mantissas.append(mantissa)
-        scales.append(scale)
-    if not finite:
-        return math.inf, math.inf, math.inf
-    if log_max == -math.inf:  # every term is exactly zero
-        return 0.0, 0.0, -math.inf
-    lhs = rhs = 0j
-    lhs_mag = rhs_mag = 0.0
-    for k, mantissa in enumerate(mantissas):
-        z = mantissa * math.exp(min(scales[k] - log_max, 0.0))
-        if k < plan.n_lhs:
-            lhs += z
-            lhs_mag += abs(z)
-        else:
-            rhs += z
-            rhs_mag += abs(z)
-    diff = abs(lhs - rhs)
-    floor_log = _LOG_EPS - log_max
-    floor = math.exp(floor_log) if floor_log < 700.0 else math.inf
-    rel = diff / (floor + (lhs_mag + rhs_mag))
-    if diff == 0.0:
-        abs_res = 0.0
-    elif log_max > 700.0:
-        abs_res = math.inf
-    else:
-        abs_res = diff * math.exp(log_max)
-    side_logs = [log_max + math.log(mag) if mag > 0.0 else -math.inf for mag in (lhs_mag, rhs_mag)]
-    return abs_res, rel, max(side_logs)
+@lru_cache(maxsize=1024)
+def _code(source: str) -> types.CodeType:
+    """The code object of the one function that source defines."""
+    (code,) = (c for c in compile(source, "<identity trial>", "exec").co_consts if isinstance(c, types.CodeType))
+    return code
+
+
+def _factor_values(plan: _Plan, values, tv: complex, use_reduction: bool) -> list[tuple[complex, float]]:
+    """Every unique factor of the plan as (mantissa, log_scale), by position."""
+    return (plan.trial if use_reduction else plan.direct)(values, tv, True)
 
 
 def evaluate_identity(
@@ -317,7 +335,8 @@ def evaluate_identity(
     max_terms.
     """
     values = tuple(binding.values[name] for name in identity.variables)
-    return _evaluate_plan(_compile(identity), values, binding.tau.tau, use_reduction)[:2]
+    plan = _compile(identity)
+    return (plan.trial if use_reduction else plan.direct)(values, binding.tau.tau)[:2]
 
 
 def _sample_binding(
@@ -360,7 +379,7 @@ def verify(
         identity = by_id.get(identity_id)
         if identity is None:
             raise UnknownIdentityError(identity_id)
-        plan = _compile(identity)
+        trial = _compile(identity).trial
         variables = identity.variables
         rng = random.Random(f"{seed}:{identity_id}")
         max_abs = max_rel = 0.0
@@ -369,7 +388,7 @@ def verify(
             for _ in range(_RESAMPLE_LIMIT + 1):
                 values, tau = _sample_binding(rng, variables, box)
                 try:
-                    abs_res, rel, log_mag = _evaluate_plan(plan, values, tau)
+                    abs_res, rel, log_mag = trial(values, tau)
                 except (TruncationError, ValueError):  # a failed trial, not an aborted run
                     abs_res = rel = log_mag = math.inf
                 if not log_mag < _DEGENERATE_LOG:

@@ -441,3 +441,22 @@ class TestFlagConflicts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--product" in captured.err
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 155])
+def test_verify_report_json_equals_the_indented_encoder(n_rows):
+    import math
+
+    from thetakit.cli import _report_json
+
+    # ids that quote, escape, or look like the layout's own separators
+    ids = ["B.I.1", 'a"b', "c'd\ne", "},\n      {", '"reports": 0', "[{", "}]", "\\", "é#"]
+    rows = [
+        {"id": ids[i % len(ids)], "trials": 5, "seed": 3, "status": "pass" if i % 3 else "fail",
+         "max_abs": [math.inf, math.nan, -0.0, 1e-300, 3.5][i % 5],
+         "max_rel": [0.0, math.nan, 1.2e-17, math.inf][i % 4]}
+        for i in range(n_rows)
+    ]
+    payload = {"version": "0.1.0", "command": "verify", "seed": 42, "trials": 5, "tol": 1e-9,
+               "stress": False, "all_pass": n_rows % 2 == 0, "reports": rows}
+    assert _report_json(payload) == json.dumps(payload, indent=2, sort_keys=True)

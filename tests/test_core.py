@@ -485,6 +485,14 @@ def test_gauss_product_matches_series(rng):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [0.3 + 1e-310j, 1e-320j, -0.5 + 5e-324j])
+def test_gauss_product_at_a_nome_that_rounds_to_one_raises_truncation_error(tau):
+    # |q| == 1.0 in doubles: the tail bound would divide by 1 - |q| = 0
+    assert abs(ModularParameter(tau).q) == 1.0
+    with pytest.raises(TruncationError, match="too close to 1"):
+        gauss_product_theta4(ModularParameter(tau))
+
+
 # sha256 of the reprs below, taken before the accuracy knob was retired
 UNREDUCED_BITS_SHA256 = "ebf52bb09e6e569c17119f26a639fd0095c5145a03a2baeab6bbcc83841c9c23"
 

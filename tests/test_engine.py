@@ -271,7 +271,7 @@ def test_verify_reports_an_unreducible_draw_as_failure():
     values, tau = _sample_binding(random.Random("42:B.I.1"), variables, box)
     assert report.failing_binding.tau.tau == tau
     assert list(report.failing_binding.values.values()) == list(values)
-    assert mismatches(["B.I.1", "P.bc3c", "W.I.r1"], trials=2, seed=42, box=box) == []
+    assert mismatches(["B.I.1", "G.g1", "P.bc3c", "W.I.r1"], trials=2, seed=42, box=box) == []
 
 
 @pytest.mark.parametrize(
