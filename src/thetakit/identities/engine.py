@@ -31,7 +31,9 @@ import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from ..core import (
+# theta, theta1_prime0, gauss_product_theta4, _reduced_theta(s) and _walk_tau
+# are called by the generated trial functions, through this module's globals
+from ..core import (  # noqa: F401
     PI,
     ModularParameter,
     TruncationError,
@@ -39,7 +41,7 @@ from ..core import (
     theta,
     theta1_prime0,
 )
-from ..reduction import (
+from ..reduction import (  # noqa: F401
     _HP_PERM,
     _HP_PHASE_QUARTERS,
     HalfPeriod,
@@ -249,6 +251,7 @@ def _generate(plan: _Plan, use_reduction: bool):
         return consts.setdefault(len(consts) if datum else repr(value), (f"k{len(consts)}", value))[0]
 
     zero, phase, taus = k(0.0), k(1j), ("tv", "t1")
+    # 2tau as ModularParameter.scaled(2) holds it, refused with its ValueError past the double range
     lines = ["t1 = 2 * tv", "if not cmath.isfinite(t1): ModularParameter(t1)"] if plan.doubled else []
     ready = set()  # each slot's walk or ModularParameter, made at the first point that uses it
     for special, slot, const, coeffs, offset, half, kinds, inner, positions in plan.points:
