@@ -295,7 +295,7 @@ def _generate(plan: _Plan, use_reduction: bool):
     finite = " and ".join(f"cmath.isfinite(a{j})" for j in terms)
     lines += [f"if not ({finite}): return math.inf, math.inf, math.inf", "g = -math.inf"]
     lines += [f"if a{j} != 0 and e{j} > g: g = e{j}" for j in terms]
-    lines.append(f"if g == -math.inf: return {zero}, {zero}, -math.inf  # every term is exactly zero")
+    lines.append(f"if g == -math.inf: return {zero}, {zero}, -math.inf")  # every term is exactly zero
     lines += [f"z{j} = a{j} * math.exp(min(e{j} - g, {zero}))" for j in terms]
     for side, js in (("lhs", terms[: plan.n_lhs]), ("rhs", terms[plan.n_lhs :])):
         lines.append(f"{side} = {' + '.join([k(0j), *(f'z{j}' for j in js)])}")

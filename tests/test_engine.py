@@ -602,3 +602,22 @@ def test_an_id_with_quotes_and_newlines_evaluates_as_a_plain_one(identity_id):
             draw = tuple(values.values()), tau.tau, use_reduction
             want = _outcome(lambda: _factor_values(_compile(ident), *draw))
             assert _outcome(lambda: _factor_values(_compile(quoted), *draw)) == want
+
+
+def test_generated_source_holds_only_names_and_integers(monkeypatch):
+    import io
+    import tokenize
+
+    import thetakit.identities.engine as engine
+
+    sources = []
+    code = engine._code
+    monkeypatch.setattr(engine, "_code", lambda source: sources.append(source) or code(source))
+    for ident in [*catalog_by_id().values(), HALF_OFFSETS]:
+        for use_reduction in (True, False):
+            engine._generate(engine._compile(ident), use_reduction)
+    assert len(sources) == 2 * (len(catalog_by_id()) + 1)
+    for source in set(sources):
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
+            assert tok.type != tokenize.NUMBER or tok.string.isdigit(), tok
