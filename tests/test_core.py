@@ -586,3 +586,46 @@ def test_series_kernel_is_pinned_bit_for_bit():
                 count += 1
     assert count > 2000
     assert digest.hexdigest() == KERNEL_BITS_SHA256
+
+
+def _cell_edge_inputs():
+    """Seeded (v, tv) points on the edges of the fixed window's cell shapes:
+    Im tv exactly _CELL_IM_TAU, Im v = +-Im tv/2 exactly (the k0 = +-1
+    ties at a0 = 0), Im v = 0 (the tie at a0 = 1/2), -0.0 parts, Im tv
+    ~ 300 (the outer terms underflow to zero) and 1e300 (the peak term
+    saturates at a0 = 1/2)."""
+    rng = random.Random("cell edges")
+    floor = core._CELL_IM_TAU
+    for _ in range(12):
+        tv = complex(rng.choice((-0.5, 0.5, rng.uniform(-0.5, 0.5))), floor)
+        for y in (rng.uniform(-0.5, 0.5) * floor, floor / 2, -floor / 2, 0.0):
+            yield complex(rng.uniform(-0.5, 0.5), y), tv
+    for im_tau in (floor, 1.0, 2.5, 299.75, 300.0, 1e300):
+        tv = complex(rng.uniform(-0.5, 0.5), im_tau)
+        for y in (im_tau / 2, -im_tau / 2, 0.0, -0.0, rng.uniform(-0.5, 0.5) * im_tau):
+            yield complex(rng.uniform(-0.5, 0.5), y), tv
+            yield complex(-0.0, y), complex(-0.0, im_tau)
+
+
+# sha256 of the reprs below, taken on the loop kernel before the cell's
+# steps were written out
+CELL_EDGES_SHA256 = "5220e43e7458ec432a4a9c402ac5aa5059e44d178e1626cd737043ece021efa1"
+
+
+def test_series_cell_edges_are_pinned_bit_for_bit():
+    import hashlib
+
+    from thetakit.reduction import _path, _reduced_thetas
+
+    digest = hashlib.sha256()
+    for v, tv in _cell_edge_inputs():
+        q2 = core._nome_sq(tv)
+        for a0 in (0.0, 0.5):
+            for alternating in (False, True, None):
+                digest.update(repr(core._series(core.N, a0, v, tv, alternating, q2)).encode())
+        try:
+            values = _reduced_thetas((1, 2, 3, 4), v, _path(ModularParameter(tv)))
+        except ValueError as error:
+            values = error
+        digest.update(repr(values).encode())
+    assert digest.hexdigest() == CELL_EDGES_SHA256
