@@ -259,9 +259,16 @@ def _series(
     partial term overflows.
     A saturated (non-finite) peak term is returned as it is, so the sum
     never turns it into nan.
+    In the reduced cell (n = N, |Im v| <= Im tv/2, a0 in {0, 1/2}) c lies
+    in [-1, 1/2], so k0 is -1, 0 or 1 (1 only at a tie) and each side
+    takes N -+ k0 = 4 to 6 steps.  There the walk is written out: four
+    steps a side, then a fifth and a sixth where the side takes them, no
+    ratio *= q2 after a side's last term, and the sums as left-to-right
+    chains 0j + t1 + t2 + ..., which make the loop's additions in its
+    order.  The loops run for every other (n, k0).
 
     alternating=None sums both at once and returns (plain, alternating):
-    one prologue and one loop with two accumulators, the second adding
+    one prologue and one walk with two accumulators, the second adding
     +-term by the parity of k.  IEEE negation is exact, so each term of
     the alternating recurrence is exactly +-term (up to the sign of an
     exact zero, which no sum started at 0j can keep), and each
@@ -291,6 +298,42 @@ def _series(
         if not cmath.isfinite(peak):
             return peak, alt_peak
         s = a = 0j
+        if n == N and -1 <= k0 <= 1:
+            ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
+            t1 = peak * ratio
+            t2 = t1 * (ratio := ratio * q2)
+            t3 = t2 * (ratio := ratio * q2)
+            t4 = t3 * (ratio := ratio * q2)
+            if k0:  # odd: 4 or 6 steps a side, and t1 adds to the alternating sum
+                s = 0j + t1 + t2 + t3 + t4
+                a = 0j + t1 - t2 + t3 - t4
+                if up > 4:
+                    t5 = t4 * (ratio := ratio * q2)
+                    t6 = t5 * (ratio * q2)
+                    s = s + t5 + t6
+                    a = a + t5 - t6
+            else:  # even: 5 steps a side, and t1 subtracts
+                t5 = t4 * (ratio * q2)
+                s = 0j + t1 + t2 + t3 + t4 + t5
+                a = 0j - t1 + t2 - t3 + t4 - t5
+            ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
+            t1 = peak * ratio
+            t2 = t1 * (ratio := ratio * q2)
+            t3 = t2 * (ratio := ratio * q2)
+            t4 = t3 * (ratio := ratio * q2)
+            if k0:
+                s = s + t1 + t2 + t3 + t4
+                a = a + t1 - t2 + t3 - t4
+                if down > 4:
+                    t5 = t4 * (ratio := ratio * q2)
+                    t6 = t5 * (ratio * q2)
+                    s = s + t5 + t6
+                    a = a + t5 - t6
+            else:
+                t5 = t4 * (ratio * q2)
+                s = s + t1 + t2 + t3 + t4 + t5
+                a = a - t1 + t2 - t3 + t4 - t5
+            return peak + s, alt_peak + a
         if up:
             term = peak
             ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
@@ -324,6 +367,34 @@ def _series(
         return peak
     # |ratio| <= 1: cmath.exp cannot overflow on it
     s = 0j
+    if n == N and -1 <= k0 <= 1:
+        ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
+        if alternating:
+            ratio = -ratio
+        t1 = peak * ratio
+        t2 = t1 * (ratio := ratio * q2)
+        t3 = t2 * (ratio := ratio * q2)
+        t4 = t3 * (ratio := ratio * q2)
+        s = 0j + t1 + t2 + t3 + t4
+        if up > 4:
+            t5 = t4 * (ratio := ratio * q2)
+            s += t5
+            if up > 5:
+                s += t5 * (ratio * q2)
+        ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
+        if alternating:
+            ratio = -ratio
+        t1 = peak * ratio
+        t2 = t1 * (ratio := ratio * q2)
+        t3 = t2 * (ratio := ratio * q2)
+        t4 = t3 * (ratio := ratio * q2)
+        s = s + t1 + t2 + t3 + t4
+        if down > 4:
+            t5 = t4 * (ratio := ratio * q2)
+            s += t5
+            if down > 5:
+                s += t5 * (ratio * q2)
+        return peak + s
     if up:
         term = peak
         ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))

@@ -28,6 +28,7 @@ import cmath
 import math
 import random
 import types
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -316,8 +317,10 @@ def _generate(plan: _Plan, use_reduction: bool):
 
 @lru_cache(maxsize=1024)
 def _code(source: str) -> types.CodeType:
-    """The code object of the one function that source defines."""
-    (code,) = (c for c in compile(source, "<identity trial>", "exec").co_consts if isinstance(c, types.CodeType))
+    """The code object of the one function that source defines, labelled by
+    a hash of source, so that profiles keep each identity shape apart."""
+    label = f"<identity trial {zlib.crc32(source.encode()):08x}>"
+    (code,) = (c for c in compile(source, label, "exec").co_consts if isinstance(c, types.CodeType))
     return code
 
 

@@ -621,3 +621,20 @@ def test_generated_source_holds_only_names_and_integers(monkeypatch):
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
             assert tok.type != tokenize.NUMBER or tok.string.isdigit(), tok
+
+
+def test_each_generated_code_object_has_its_own_profiling_label():
+    # cProfile keys on (filename, line, name): one shared label would fold
+    # every identity shape's trial function into one profile entry
+    import thetakit.identities.engine as engine
+
+    codes = {
+        id(code): code
+        for ident in catalog_by_id().values()
+        for use_reduction in (True, False)
+        for code in [engine._generate(engine._compile(ident), use_reduction).__code__]
+    }
+    labels = {code.co_filename for code in codes.values()}
+    assert len(codes) > 1
+    assert len(labels) == len(codes)
+    assert all(label.startswith("<identity trial ") for label in labels)
