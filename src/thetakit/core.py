@@ -297,7 +297,6 @@ def _series(
         alt_peak = -peak if k0 & 1 else peak
         if not cmath.isfinite(peak):
             return peak, alt_peak
-        s = a = 0j
         if n == N and -1 <= k0 <= 1:
             ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
             t1 = peak * ratio
@@ -334,6 +333,7 @@ def _series(
                 s = s + t1 + t2 + t3 + t4 + t5
                 a = a - t1 + t2 - t3 + t4 - t5
             return peak + s, alt_peak + a
+        s = a = 0j
         if up:
             term = peak
             ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
@@ -366,7 +366,6 @@ def _series(
     if not cmath.isfinite(peak):
         return peak
     # |ratio| <= 1: cmath.exp cannot overflow on it
-    s = 0j
     if n == N and -1 <= k0 <= 1:
         ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
         if alternating:
@@ -395,6 +394,7 @@ def _series(
             if down > 5:
                 s += t5 * (ratio * q2)
         return peak + s
+    s = 0j
     if up:
         term = peak
         ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
