@@ -623,9 +623,5 @@ def test_series_cell_edges_are_pinned_bit_for_bit():
         for a0 in (0.0, 0.5):
             for alternating in (False, True, None):
                 digest.update(repr(core._series(core.N, a0, v, tv, alternating, q2)).encode())
-        try:
-            values = _reduced_thetas((1, 2, 3, 4), v, _path(ModularParameter(tv)))
-        except ValueError as error:
-            values = error
-        digest.update(repr(values).encode())
+        digest.update(repr(_reduced_thetas((1, 2, 3, 4), v, _path(ModularParameter(tv)))).encode())
     assert digest.hexdigest() == CELL_EDGES_SHA256
