@@ -29,7 +29,6 @@ from .identities import (
     UnknownIdentityError,
     VariableBinding,
     builtin_catalog,
-    bracket_product,
     catalog_tsv,
     dual_vars,
     evaluate_identity,

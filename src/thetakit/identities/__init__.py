@@ -34,7 +34,6 @@ from .engine import (
     SamplingBox,
     UnknownIdentityError,
     VariableBinding,
-    bracket_product,
     dual_vars,
     evaluate_identity,
     koornwinder_equivalence_check,

@@ -29,7 +29,7 @@ import math
 import random
 import types
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 # theta, theta1_prime0, gauss_product_theta4, _reduced_theta(s) and _walk_tau
@@ -46,14 +46,13 @@ from ..reduction import (  # noqa: F401
     _HP_PERM,
     _HP_PHASE_QUARTERS,
     HalfPeriod,
-    eval_reduced,
     _reduced_theta,
     _reduced_thetas,
     _walk_tau,
 )
-from ..reduction import full_reduction, half_period_shift  # noqa: F401  perfbench's tracer wraps them
+from ..reduction import eval_reduced, full_reduction, half_period_shift  # noqa: F401  perfbench's tracer wraps them
 from .catalog import catalog_by_id
-from .dsl import DTHETA1, GAUSS4, PI_CONST, Identity, ThetaFactor
+from .dsl import DTHETA1, GAUSS4, PI_CONST, Identity, ThetaFactor, parse_identity
 
 __all__ = [
     "UnknownIdentityError",
@@ -64,7 +63,6 @@ __all__ = [
     "STRESS_BOX",
     "RESIDUAL_EPS",
     "dual_vars",
-    "bracket_product",
     "evaluate_identity",
     "verify",
     "KoornwinderReport",
@@ -105,14 +103,14 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SamplingBox:
-    """Uniform sampling range of Im tau, 0 < low <= high < inf (else ValueError).
+    """Uniform sampling range of Im tau, a pair 0 < low <= high < inf (else ValueError).
     Re tau is drawn from [-1/2, 1/2], each variable's parts from [-1, 1]."""
 
     tau_im: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
-        if not 0.0 < self.tau_im[0] <= self.tau_im[1] < math.inf:
-            raise ValueError(f"tau_im must satisfy 0 < low <= high < inf, got {self.tau_im!r}")
+        if len(self.tau_im) != 2 or not 0.0 < self.tau_im[0] <= self.tau_im[1] < math.inf:
+            raise ValueError(f"tau_im must be a pair 0 < low <= high < inf, got {self.tau_im!r}")
 
 
 DEFAULT_BOX = SamplingBox()
@@ -125,23 +123,6 @@ def dual_vars(
     """The involutive map W' = (-W+X+Y+Z)/2 and cyclic companions."""
     h = (w + x + y + z) / 2.0
     return (h - w, h - x, h - y, h - z)
-
-
-def bracket_product(
-    indices: tuple[int, int, int, int],
-    w: complex,
-    x: complex,
-    y: complex,
-    z: complex,
-    tau: ModularParameter,
-    primed: bool = False,
-) -> complex:
-    """[pqrs] = t_p(W) t_q(X) t_r(Y) t_s(Z), at dual points when primed."""
-    points = dual_vars(w, x, y, z) if primed else (w, x, y, z)
-    value = 1.0 + 0j
-    for r, point in zip(indices, points):
-        value *= eval_reduced(r, point, tau)
-    return value
 
 
 @dataclass(frozen=True)
@@ -338,7 +319,9 @@ def evaluate_identity(
 
     With use_reduction=False every factor is summed directly, which is
     only viable where the raw series converges within the default
-    max_terms.
+    max_terms.  Where every term is a product of theta values at their
+    exact zeros, the terms are rounding noise and the relative residual
+    reads O(1): W.III.r1 reads 1/3 at u = v = x = y = 0, tau = i.
     """
     values = tuple(binding.values[name] for name in identity.variables)
     plan = _compile(identity)
@@ -412,23 +395,35 @@ def verify(
     return reports
 
 
+# the five relations of the equivalence argument, by name: three are catalog
+# entries, read by id, and the two that are not are written out
+_KOORNWINDER = {
+    "A1-B1=B2-A2": "J.F.1",
+    "A1-C1=A2-C2": (
+        "t1(u+x|tau)*t1(u-x|tau)*t1(v+y|tau)*t1(v-y|tau) - t1(u+v|tau)*t1(u-v|tau)*t1(x+y|tau)*t1(x-y|tau)"
+        " = t2(u+x|tau)*t2(u-x|tau)*t2(v+y|tau)*t2(v-y|tau) - t2(u+v|tau)*t2(u-v|tau)*t2(x+y|tau)*t2(x-y|tau)"
+    ),
+    "B1+C1=B2-C2": (
+        "t1(u+y|tau)*t1(u-y|tau)*t1(v+x|tau)*t1(v-x|tau) + t1(u+v|tau)*t1(u-v|tau)*t1(x+y|tau)*t1(x-y|tau)"
+        " = t2(u+y|tau)*t2(u-y|tau)*t2(v+x|tau)*t2(v-x|tau) - t2(u+v|tau)*t2(u-v|tau)*t2(x+y|tau)*t2(x-y|tau)"
+    ),
+    "A1-B1=C1": "W.III.r1",
+    "C1=B2-A2": "W.III.r2",
+}
+
+
+@lru_cache(maxsize=1)
+def _koornwinder_relations() -> dict[str, Identity]:
+    """The five relations as identities, parsed on first use."""
+    by_id = catalog_by_id()
+    return {n: by_id[text] if text in by_id else parse_identity(text, n) for n, text in _KOORNWINDER.items()}
+
+
 @dataclass
 class KoornwinderReport:
-    """Numerical form of the addition/bracket equivalence argument.
+    """Relative residual of each of the five equivalence relations, by name."""
 
-    a_j, b_j, c_j are the three quad products of index j in {1, 2}; the
-    five relations tie them together, the last two being the r = 1 and
-    r = 2 asymmetric addition identities that make the linear system
-    for (A2, B2, C2) degenerate.
-    """
-
-    a1: complex
-    b1: complex
-    c1: complex
-    a2: complex
-    b2: complex
-    c2: complex
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
 
     @property
     def max_residual(self) -> float:
@@ -436,42 +431,16 @@ class KoornwinderReport:
 
 
 def koornwinder_equivalence_check(
-    u: complex,
-    v: complex,
-    x: complex,
-    y: complex,
-    tau: ModularParameter,
+    u: complex, v: complex, x: complex, y: complex, tau: ModularParameter
 ) -> KoornwinderReport:
     """Check the five linear relations among the quad products A_j, B_j, C_j.
 
-    A_j pairs (u, x) with (v, y), B_j pairs (u, y) with (v, x), C_j
-    pairs (u, v) with (x, y).  The three bracket-derived relations
-    A1-B1 = B2-A2, A1-C1 = A2-C2, B1+C1 = B2-C2 form a degenerate
-    system whose compatibility conditions A1-B1 = C1 and C1 = B2-A2
-    are exactly the asymmetric addition identities with r = 1, 2.
+    A_j = t_j(u+x) t_j(u-x) t_j(v+y) t_j(v-y), B_j is A_j with x and y
+    swapped, and C_j = t_j(u+v) t_j(u-v) t_j(x+y) t_j(x-y).  The three
+    bracket-derived relations A1-B1 = B2-A2, A1-C1 = A2-C2, B1+C1 = B2-C2
+    form a degenerate system whose compatibility conditions A1-B1 = C1 and
+    C1 = B2-A2 are exactly the asymmetric addition identities with r = 1, 2.
+    Each relation is an identity, and its residual is evaluate_identity's.
     """
-    a, b, c = (
-        {j: bracket_product((j,) * 4, *points, tau) for j in (1, 2)}
-        for points in (
-            (u + x, u - x, v + y, v - y),
-            (u + y, u - y, v + x, v - x),
-            (u + v, u - v, x + y, x - y),
-        )
-    )
-
-    # quantities below the system's own rounding noise count as zero,
-    # so fully degenerate relations read as 0 = 0
-    noise = 1e-14 * sum(abs(q) for q in (*a.values(), *b.values(), *c.values()))
-
-    def rel(defect: complex, *parts: complex) -> float:
-        scale = sum(abs(p) for p in parts)
-        return abs(defect) / (RESIDUAL_EPS + noise + scale)
-
-    residuals = {
-        "A1-B1=B2-A2": rel(a[1] - b[1] - (b[2] - a[2]), a[1], b[1], b[2], a[2]),
-        "A1-C1=A2-C2": rel(a[1] - c[1] - (a[2] - c[2]), a[1], c[1], a[2], c[2]),
-        "B1+C1=B2-C2": rel(b[1] + c[1] - (b[2] - c[2]), b[1], c[1], b[2], c[2]),
-        "A1-B1=C1": rel(a[1] - b[1] - c[1], a[1], b[1], c[1]),
-        "C1=B2-A2": rel(c[1] - (b[2] - a[2]), c[1], b[2], a[2]),
-    }
-    return KoornwinderReport(a[1], b[1], c[1], a[2], b[2], c[2], residuals)
+    binding = VariableBinding({"u": u, "v": v, "x": x, "y": y}, tau)
+    return KoornwinderReport({n: evaluate_identity(r, binding)[1] for n, r in _koornwinder_relations().items()})

@@ -37,8 +37,9 @@ import thetakit.core as core
 from thetakit.core import cexp
 from thetakit.reduction import eval_reduced, full_reduction
 
-# frozen 50-term direct-summation value, computed before the build
+# frozen 50-term direct-summation values, computed before the build
 THETA3_AT_I = 1.0864348112133082
+THETA3_AT_I_FOURTH = 1.3932039296856777
 
 
 def test_modular_parameter_rejects_lower_half_plane():
@@ -437,6 +438,9 @@ class TestThetaConstants:
         _, c2, c3, c4 = theta_constants(ModularParameter(1j))
         assert c2 == pytest.approx(c4, rel=1e-12)
         assert c3.real == pytest.approx(THETA3_AT_I, abs=1e-12)
+        fourth = eval_reduced(3, 0.0, ModularParameter(1j)) ** 4
+        assert fourth.real == pytest.approx(THETA3_AT_I_FOURTH, abs=1e-12)
+        assert fourth == pytest.approx(theta_series(3, 0, 1j) ** 4, rel=1e-12)
 
     def test_derivative_against_series_oracle(self, rng):
         for _ in range(20):

@@ -2,21 +2,22 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_tau
-from oracles import theta_series
 from trial_reference import mismatches, per_factor_values
 from thetakit import ModularParameter, eval_reduced
 from thetakit.identities import (
     J_DUAL,
+    MANIFEST,
     STRESS_BOX,
     UnknownIdentityError,
     VariableBinding,
-    bracket_product,
+    canonical_form,
     catalog_by_id,
     dual_vars,
     evaluate_identity,
@@ -24,9 +25,6 @@ from thetakit.identities import (
     parse_identity,
     verify,
 )
-
-# frozen: theta_3(0|i)^4 from the 50-term series oracle
-THETA3_AT_I_FOURTH = 1.3932039296856777
 
 
 class TestDualVars:
@@ -50,24 +48,6 @@ class TestDualVars:
         twice = dual_vars(*once)
         for a, b in zip(twice, quad):
             assert abs(a - b) <= 1e-13 * (1.0 + abs(b))
-
-
-class TestBracketProduct:
-    def test_first_slot_zero_kills_product(self):
-        tau = ModularParameter(0.3 + 1.0j)
-        val = bracket_product((1, 2, 3, 4), 0.0, 0.3, 0.1j, -0.2, tau)
-        assert abs(val) < 1e-13
-
-    def test_constant_fourth_power(self):
-        tau = ModularParameter(1j)
-        val = bracket_product((3, 3, 3, 3), 0.0, 0.0, 0.0, 0.0, tau)
-        assert val.real == pytest.approx(THETA3_AT_I_FOURTH, abs=1e-12)
-        assert val == pytest.approx(theta_series(3, 0, 1j) ** 4, rel=1e-12)
-
-    def test_primed_bracket_at_zero_vanishes(self):
-        tau = ModularParameter(0.8j)
-        val = bracket_product((1, 2, 3, 4), 0.0, 0.0, 0.0, 0.0, tau, primed=True)
-        assert abs(val) < 1e-13
 
 
 class TestEvaluateIdentity:
@@ -218,11 +198,15 @@ class TestJDuality:
 
 class TestKoornwinder:
     def test_totally_symmetric_point(self):
-        report = koornwinder_equivalence_check(0, 0, 0, 0, ModularParameter(1j))
-        assert abs(report.a1) < 1e-14 and abs(report.b1) < 1e-14 and abs(report.c1) < 1e-14
-        assert report.a2 == pytest.approx(report.b2, rel=1e-12)
-        assert report.a2 == pytest.approx(report.c2, rel=1e-12)
-        assert report.max_residual < 1e-12
+        from thetakit.identities.engine import _koornwinder_relations
+
+        # each index-1 quad is a product of zeros of t1, i.e. rounding noise:
+        # A1-B1=C1, which holds no index-2 quad, reads the engine's O(1)
+        binding = VariableBinding(dict.fromkeys("uvxy", 0j), ModularParameter(1j))
+        report = koornwinder_equivalence_check(0, 0, 0, 0, binding.tau)
+        for name, relation in _koornwinder_relations().items():
+            assert report.residuals[name] == evaluate_identity(relation, binding)[1], name
+        assert max(r for name, r in report.residuals.items() if name != "A1-B1=C1") < 1e-12
 
     def test_random_binding(self, rng):
         for _ in range(10):
@@ -235,15 +219,40 @@ class TestKoornwinder:
             )
             assert report.max_residual < 1e-10
 
-    def test_argument_swap_symmetry(self, rng):
-        u, v, x, y = (random_point(rng) for _ in range(4))
-        tau = random_tau(rng)
-        base = koornwinder_equivalence_check(u, v, x, y, tau)
-        swapped = koornwinder_equivalence_check(u, v, y, x, tau)
-        # swapping x and y negates C_1 and exchanges A_1 with B_1
-        assert swapped.c1 == pytest.approx(-base.c1, rel=1e-11, abs=1e-13)
-        assert swapped.a1 == pytest.approx(base.b1, rel=1e-11, abs=1e-13)
-        assert swapped.b1 == pytest.approx(base.a1, rel=1e-11, abs=1e-13)
+    def test_overflowing_quads_stay_checkable(self):
+        # at Im u = 12 the raw quads overflow doubles; the split form does not
+        report = koornwinder_equivalence_check(
+            0.3 + 12j, 0.1 + 0.2j, 0.2 - 0.1j, 0.05 + 0.3j, ModularParameter(1j)
+        )
+        assert report.max_residual < 1e-10
+
+    def test_each_relation_is_the_one_its_name_writes(self):
+        # every name, written out here, has its relation's canonical form,
+        # and the three catalog relations are the entries themselves
+        from thetakit.identities.engine import _koornwinder_relations
+
+        quads = {
+            f"{name}{j}": "*".join(f"t{j}({p}{sign}{q}|tau)" for p, q in pairs for sign in "+-")
+            for name, pairs in (("A", ("ux", "vy")), ("B", ("uy", "vx")), ("C", ("uv", "xy")))
+            for j in (1, 2)
+        }
+        by_id = catalog_by_id()
+        ids = {"A1-B1=B2-A2": "J.F.1", "A1-B1=C1": "W.III.r1", "C1=B2-A2": "W.III.r2"}
+        for name, relation in _koornwinder_relations().items():
+            written = parse_identity(re.sub("[ABC][12]", lambda m: quads[m[0]], name), name)
+            assert canonical_form(relation) == canonical_form(written), name
+            if name in ids:
+                assert relation is by_id[ids[name]]
+        assert ids.keys() < _koornwinder_relations().keys()
+
+
+def test_manifest_checks_name_public_attributes():
+    import thetakit.identities
+
+    checked_by = {entry["checked_by"] for entry in MANIFEST.values() if "checked_by" in entry}
+    assert checked_by
+    for name in checked_by:
+        assert name in thetakit.identities.__all__ and callable(getattr(thetakit.identities, name))
 
 
 def test_verify_reports_truncation_exhaustion_as_failure():
@@ -276,7 +285,10 @@ def test_verify_reports_an_unreducible_draw_as_failure():
 
 @pytest.mark.parametrize(
     "tau_im",
-    [(-1.0, 1.0), (0.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")), (2.0, 1.0)],
+    [
+        (-1.0, 1.0), (0.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0, float("nan")), (2.0, 1.0),
+        (), (1.0,), (1.0, 2.0, 3.0),  # not a pair
+    ],
 )
 def test_sampling_box_rejects_a_range_outside_the_upper_half_plane(tau_im):
     from thetakit.identities import SamplingBox
