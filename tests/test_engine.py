@@ -3,12 +3,14 @@
 import dataclasses
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_tau
+from oracles import theta_series
 from trial_reference import mismatches, per_factor_values
 from thetakit import ModularParameter, eval_reduced
 from thetakit.identities import (
@@ -25,6 +27,9 @@ from thetakit.identities import (
     parse_identity,
     verify,
 )
+
+# frozen: theta_3(0|i)^4 from the 50-term series oracle
+THETA3_AT_I_FOURTH = 1.3932039296856777
 
 
 class TestDualVars:
@@ -48,6 +53,19 @@ class TestDualVars:
         twice = dual_vars(*once)
         for a, b in zip(twice, quad):
             assert abs(a - b) <= 1e-13 * (1.0 + abs(b))
+
+
+class TestBracketProduct:
+    def test_constant_fourth_power(self):
+        # the bracket [3333] at u = v = x = y = 0 is theta_3(0|tau)^4
+        tau = ModularParameter(1j)
+        bracket = "t3(u+x|tau)*t3(u-x|tau)*t3(v+y|tau)*t3(v-y|tau)"
+        ident = parse_identity(f"{bracket} = {Fraction(THETA3_AT_I_FOURTH)}")
+        binding = VariableBinding(dict.fromkeys("uvxy", 0j), tau)
+        assert evaluate_identity(ident, binding)[0] < 1e-12
+        val = eval_reduced(3, 0.0, tau) ** 4
+        assert val.real == pytest.approx(THETA3_AT_I_FOURTH, abs=1e-12)
+        assert val == pytest.approx(theta_series(3, 0, 1j) ** 4, rel=1e-12)
 
 
 class TestEvaluateIdentity:
