@@ -629,3 +629,17 @@ def test_series_cell_edges_are_pinned_bit_for_bit():
                 digest.update(repr(core._series(core.N, a0, v, tv, alternating, q2)).encode())
         digest.update(repr(_reduced_thetas((1, 2, 3, 4), v, _path(ModularParameter(tv)))).encode())
     assert digest.hexdigest() == CELL_EDGES_SHA256
+
+
+def test_paired_series_is_the_two_single_sums():
+    # alternating=None returns (alternating=False, alternating=True) bit
+    # for bit, on the cell's written-out walk and off it
+    pairs = 0
+    inputs = list(_kernel_inputs()) + [(core.N, v, tv) for v, tv in _cell_edge_inputs()]
+    for n, v, tv in inputs:
+        q2 = core._nome_sq(tv)
+        for a0 in (0.0, 0.5):
+            singles = (core._series(n, a0, v, tv, False, q2), core._series(n, a0, v, tv, True, q2))
+            assert repr(core._series(n, a0, v, tv, None, q2)) == repr(singles), (n, a0, v, tv)
+            pairs += 1
+    assert pairs == 886
