@@ -265,15 +265,16 @@ def _series(
     steps a side, then a fifth and a sixth where the side takes them, no
     ratio *= q2 after a side's last term, and the sums as left-to-right
     chains 0j + t1 + t2 + ..., which make the loop's additions in its
-    order.  The loops run for every other (n, k0).
+    order.  One loop, over the two sides, runs for every other (n, k0).
 
-    alternating=None sums both at once and returns (plain, alternating):
-    one prologue and one walk with two accumulators, the second adding
-    +-term by the parity of k.  IEEE negation is exact, so each term of
-    the alternating recurrence is exactly +-term (up to the sign of an
-    exact zero, which no sum started at 0j can keep), and each
-    accumulator makes the same additions in the same order as its own
-    one-sum call: both results are bit-equal to alternating=False and True.
+    alternating=None returns (plain, alternating), both bit-equal to
+    alternating=False and True.  In the cell they come from one walk
+    with two accumulators, the second adding +-term by the parity of k:
+    IEEE negation is exact, so each term of the alternating recurrence
+    is exactly +-term (up to the sign of an exact zero, which no sum
+    started at 0j can keep), and each accumulator makes the same
+    additions in the same order as its own one-sum call.  Off the cell
+    they are the two single sums.
 
     The pins hold this body bit for bit: a rewrite that changes an
     operand or the order of the operations needs a re-pin and an
@@ -287,6 +288,9 @@ def _series(
     k0 = round(c)
     if abs(c - k0) == 0.5 and v.imag:
         k0 = math.floor(c) if v.imag > 0.0 else math.ceil(c)
+    cell = n == N and -1 <= k0 <= 1
+    if alternating is None and not cell:
+        return _series(n, a0, v, tv, False, q2), _series(n, a0, v, tv, True, q2)
     x0 = k0 + a0
     x2 = 2.0 * x0
     v2 = 2.0 * v
@@ -297,76 +301,47 @@ def _series(
         alt_peak = -peak if k0 & 1 else peak
         if not cmath.isfinite(peak):
             return peak, alt_peak
-        if n == N and -1 <= k0 <= 1:
-            ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
-            t1 = peak * ratio
-            t2 = t1 * (ratio := ratio * q2)
-            t3 = t2 * (ratio := ratio * q2)
-            t4 = t3 * (ratio := ratio * q2)
-            if k0:  # odd: 4 or 6 steps a side, and t1 adds to the alternating sum
-                s = 0j + t1 + t2 + t3 + t4
-                a = 0j + t1 - t2 + t3 - t4
-                if up > 4:
-                    t5 = t4 * (ratio := ratio * q2)
-                    t6 = t5 * (ratio * q2)
-                    s = s + t5 + t6
-                    a = a + t5 - t6
-            else:  # even: 5 steps a side, and t1 subtracts
-                t5 = t4 * (ratio * q2)
-                s = 0j + t1 + t2 + t3 + t4 + t5
-                a = 0j - t1 + t2 - t3 + t4 - t5
-            ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
-            t1 = peak * ratio
-            t2 = t1 * (ratio := ratio * q2)
-            t3 = t2 * (ratio := ratio * q2)
-            t4 = t3 * (ratio := ratio * q2)
-            if k0:
-                s = s + t1 + t2 + t3 + t4
-                a = a + t1 - t2 + t3 - t4
-                if down > 4:
-                    t5 = t4 * (ratio := ratio * q2)
-                    t6 = t5 * (ratio * q2)
-                    s = s + t5 + t6
-                    a = a + t5 - t6
-            else:
-                t5 = t4 * (ratio * q2)
-                s = s + t1 + t2 + t3 + t4 + t5
-                a = a - t1 + t2 - t3 + t4 - t5
-            return peak + s, alt_peak + a
-        s = a = 0j
-        if up:
-            term = peak
-            ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
-            odd = not k0 & 1  # the parity of the first k stepped to
-            for _ in repeat(None, up):
-                term *= ratio
-                ratio *= q2
-                s += term
-                if odd:
-                    a -= term
-                else:
-                    a += term
-                odd = not odd
-        if down:
-            term = peak
-            ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
-            odd = not k0 & 1
-            for _ in repeat(None, down):
-                term *= ratio
-                ratio *= q2
-                s += term
-                if odd:
-                    a -= term
-                else:
-                    a += term
-                odd = not odd
+        ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
+        t1 = peak * ratio
+        t2 = t1 * (ratio := ratio * q2)
+        t3 = t2 * (ratio := ratio * q2)
+        t4 = t3 * (ratio := ratio * q2)
+        if k0:  # odd: 4 or 6 steps a side, and t1 adds to the alternating sum
+            s = 0j + t1 + t2 + t3 + t4
+            a = 0j + t1 - t2 + t3 - t4
+            if up > 4:
+                t5 = t4 * (ratio := ratio * q2)
+                t6 = t5 * (ratio * q2)
+                s = s + t5 + t6
+                a = a + t5 - t6
+        else:  # even: 5 steps a side, and t1 subtracts
+            t5 = t4 * (ratio * q2)
+            s = 0j + t1 + t2 + t3 + t4 + t5
+            a = 0j - t1 + t2 - t3 + t4 - t5
+        ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
+        t1 = peak * ratio
+        t2 = t1 * (ratio := ratio * q2)
+        t3 = t2 * (ratio := ratio * q2)
+        t4 = t3 * (ratio := ratio * q2)
+        if k0:
+            s = s + t1 + t2 + t3 + t4
+            a = a + t1 - t2 + t3 - t4
+            if down > 4:
+                t5 = t4 * (ratio := ratio * q2)
+                t6 = t5 * (ratio * q2)
+                s = s + t5 + t6
+                a = a + t5 - t6
+        else:
+            t5 = t4 * (ratio * q2)
+            s = s + t1 + t2 + t3 + t4 + t5
+            a = a - t1 + t2 - t3 + t4 - t5
         return peak + s, alt_peak + a
     if alternating and (k0 & 1):
         peak = -peak
     if not cmath.isfinite(peak):
         return peak
     # |ratio| <= 1: cmath.exp cannot overflow on it
-    if n == N and -1 <= k0 <= 1:
+    if cell:
         ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
         if alternating:
             ratio = -ratio
@@ -395,24 +370,18 @@ def _series(
                 s += t5 * (ratio * q2)
         return peak + s
     s = 0j
-    if up:
-        term = peak
-        ratio = cmath.exp(_IPI * (tv * (x2 + 1.0) + v2))
-        if alternating:
-            ratio = -ratio
-        for _ in repeat(None, up):
-            term *= ratio
-            ratio *= q2
-            s += term
-    if down:
-        term = peak
-        ratio = cmath.exp(_IPI * (tv * (1.0 - x2) - v2))
-        if alternating:
-            ratio = -ratio
-        for _ in repeat(None, down):
-            term *= ratio
-            ratio *= q2
-            s += term
+    # the up side, then the down side, whose step exp(pi*i*(tv*(1 - x2) - v2))
+    # is the up side's at -x2, -v2 bit for bit (IEEE a - b is a + (-b))
+    for steps, x2s, v2s in ((up, x2, v2), (down, -x2, -v2)):
+        if steps:
+            term = peak
+            ratio = cmath.exp(_IPI * (tv * (x2s + 1.0) + v2s))
+            if alternating:
+                ratio = -ratio
+            for _ in repeat(None, steps):
+                term *= ratio
+                ratio *= q2
+                s += term
     return peak + s
 
 
@@ -546,7 +515,8 @@ def theta_constants(tau: ModularParameter) -> tuple[complex, complex, complex, c
     """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau.
 
     theta_3(0) and theta_4(0) share a0 = 0 and so one window: one paired
-    _series pass sums both, bit-equal to theta(3, 0, tau) and theta(4, 0, tau).
+    _series call sums both, bit-equal to theta(3, 0, tau) and theta(4, 0, tau)
+    (one walk in the reduced cell, the two single sums off it).
     """
     prime = theta1_prime0(tau)
     q2 = _nome_sq(tau.tau)

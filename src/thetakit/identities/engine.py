@@ -305,11 +305,6 @@ def _code(source: str) -> types.CodeType:
     return code
 
 
-def _factor_values(plan: _Plan, values, tv: complex, use_reduction: bool) -> list[tuple[complex, float]]:
-    """Every unique factor of the plan as (mantissa, log_scale), by position."""
-    return (plan.trial if use_reduction else plan.direct)(values, tv, True)
-
-
 def evaluate_identity(
     identity: Identity,
     binding: VariableBinding,

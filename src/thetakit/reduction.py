@@ -419,8 +419,9 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     and its sign goes on per index.  The fixed window test is
     _reduced_theta's; only off it is a ModularParameter built for
     _window.  Each half-integer class, a0 = 0 for {3, 4} and 1/2 for
-    {1, 2}, takes one window and one series pass, both members in one
-    _series loop.  ValueError as _reduced_theta.
+    {1, 2}, takes one window and one paired _series call: both members
+    in the cell's one written-out walk, or off the cell the two single
+    sums.  ValueError as _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)

@@ -442,7 +442,7 @@ HALF_OFFSETS = parse_identity(
 @pytest.mark.parametrize("box_name", ["default", "stress"])
 def test_grouped_factor_values_equal_per_factor_evaluation(box_name):
     from thetakit.identities import DEFAULT_BOX
-    from thetakit.identities.engine import _compile, _factor_values
+    from thetakit.identities.engine import _compile
 
     box = DEFAULT_BOX if box_name == "default" else STRESS_BOX
     identities = [*catalog_by_id().values(), HALF_OFFSETS]
@@ -457,7 +457,7 @@ def test_grouped_factor_values_equal_per_factor_evaluation(box_name):
             }
             tau = ModularParameter(complex(rng.uniform(-0.5, 0.5), rng.uniform(*box.tau_im)))
             binding = VariableBinding(values, tau)
-            got = _outcome(lambda: _factor_values(plan, tuple(values.values()), tau.tau, True))
+            got = _outcome(lambda: plan.trial(tuple(values.values()), tau.tau, True))
             assert got == _outcome(lambda: per_factor_values(ident, binding)), ident.id
 
 
@@ -472,12 +472,12 @@ def test_half_offset_points_group_on_the_shifted_point():
 
 
 def test_grouped_kernel_at_the_cusp_binding():
-    from thetakit.identities.engine import _compile, _factor_values
+    from thetakit.identities.engine import _compile
     from thetakit.reduction import _path, _reduced_theta, _reduced_thetas
 
     ident = catalog_by_id()["D.df2a"]
     draw = tuple(CUSP_BINDING.values.values()), CUSP_BINDING.tau.tau
-    assert repr(_factor_values(_compile(ident), *draw, True)) == repr(
+    assert repr(_compile(ident).trial(*draw, True)) == repr(
         per_factor_values(ident, CUSP_BINDING)
     )
     path = _path(CUSP_BINDING.tau)
@@ -617,7 +617,7 @@ def test_half_offset_residuals_are_pinned_bit_for_bit():
 # the id is never read while an identity is evaluated
 @pytest.mark.parametrize("identity_id", ["B.I.1", "P.bc3c", "TC.tc1", "G.g1", "D.df2a", "half-offsets"])
 def test_an_id_with_quotes_and_newlines_evaluates_as_a_plain_one(identity_id):
-    from thetakit.identities.engine import _compile, _factor_values
+    from thetakit.identities.engine import _compile
 
     ident = HALF_OFFSETS if identity_id == "half-offsets" else catalog_by_id()[identity_id]
     quoted = dataclasses.replace(ident, id='a"b\'c\nd # e')
@@ -629,9 +629,10 @@ def test_an_id_with_quotes_and_newlines_evaluates_as_a_plain_one(identity_id):
         for use_reduction in (True, False):
             want = _outcome(lambda: evaluate_identity(ident, binding, use_reduction))
             assert _outcome(lambda: evaluate_identity(quoted, binding, use_reduction)) == want
-            draw = tuple(values.values()), tau.tau, use_reduction
-            want = _outcome(lambda: _factor_values(_compile(ident), *draw))
-            assert _outcome(lambda: _factor_values(_compile(quoted), *draw)) == want
+            draw = tuple(values.values()), tau.tau, True
+            plain, odd = _compile(ident), _compile(quoted)
+            want = _outcome(lambda: (plain.trial if use_reduction else plain.direct)(*draw))
+            assert _outcome(lambda: (odd.trial if use_reduction else odd.direct)(*draw)) == want
 
 
 def test_generated_source_holds_only_names_and_integers(monkeypatch):
