@@ -738,6 +738,51 @@ def test_group_kernel_raises_the_single_index_value_error(u):
         assert str(group.value) == str(single.value)
 
 
+# tau -> the word the walk takes: the shapes the default box draws for tau
+# and 2 tau, with odd and even translations
+_GROUP_WORDS = {
+    0.3 + 1.2j: (),
+    2.3 + 1.2j: (-2,),
+    -3.3 + 1.2j: (3,),
+    0.5j: (ModularStep.S,),  # u/tau is exact: the edges below stay exact
+    0.1 + 0.5j: (ModularStep.S,),
+    0.3 + 0.5j: (ModularStep.S, 1),
+    0.2 + 0.3j: (ModularStep.S, 2),
+    -0.2 + 0.3j: (ModularStep.S, -2),
+}
+
+
+@pytest.mark.parametrize(
+    "tv", list(_GROUP_WORDS), ids=lambda tv: f"{tv}:" + " ".join(map(token_id, _GROUP_WORDS[tv]))
+)
+def test_group_kernel_at_signed_zeros_cell_edges_and_every_parity(tv):
+    from thetakit.reduction import _cell, _path, _walk
+
+    path = _path(ModularParameter(tv))
+    tokens, end, _ = path
+    assert tuple(token[0] for token in tokens) == _GROUP_WORDS[tv]
+    h = 0.5 * end.imag
+    edges = [0.5 + 0.1j, -0.5 + 0.1j, 0.2 + h * 1j, 0.2 - h * 1j, 0.5 + h * 1j, -0.5 - h * 1j]
+    # the reduced points (an inner one keeps its n and m), each one ulp past
+    # the Im edges, then the u whose walk ends there: an S word divides by tau
+    parity = [(n, m) for n in (-2, -1, 0, 1) for m in (-2, -1, 0, 1)]
+    points = [e + n + m * end for e in [0.1 + 0.1j, *edges] for n, m in parity]
+    points += [math.nextafter(h, math.inf) * 1j, math.nextafter(-h, -math.inf) * 1j]
+    scale = tokens[0][1] if tokens and tokens[0][0] is ModularStep.S else 1.0
+    us = [w * scale for w in points] + [
+        complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.25), complex(0.25, -0.0),
+    ]
+    parities, on_edge = set(), 0
+    for u in us:
+        _assert_group_equals_singles(u, ModularParameter(tv))
+        _, r, w = _walk(tokens, 3, complex(u))
+        u0, n, m, _ = _cell(r, w, end)
+        parities.add((n % 2, m % 2, n < 0, m < 0))
+        on_edge += abs(u0.real) == 0.5 or 2.0 * abs(u0.imag) == end.imag
+    assert len(parities) == 16
+    assert on_edge >= len(edges)
+
+
 def _scatter_call(rng, regime):
     """(r, u, tau) drawn like one eval-scatter call of the given regime."""
     r = rng.randint(1, 4)
