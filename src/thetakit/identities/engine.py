@@ -328,10 +328,11 @@ def _sample_binding(
 ) -> tuple[tuple[complex, ...], complex]:
     """(values in variables order, tau): each variable, then tau, drawn as
     rng.uniform draws, a + (b - a) * rng.random(), in plain numbers."""
-    draw = rng.random
-    values = tuple([complex(-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw()) for _ in variables])
+    draw, values = rng.random, []
+    for _ in variables:  # a loop, not a comprehension: no frame per binding
+        values.append(complex(-1.0 + 2.0 * draw(), -1.0 + 2.0 * draw()))
     low, high = box.tau_im
-    return values, complex(-0.5 + draw(), low + (high - low) * draw())
+    return tuple(values), complex(-0.5 + draw(), low + (high - low) * draw())
 
 
 def verify(

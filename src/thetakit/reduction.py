@@ -216,8 +216,9 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
     """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier.
 
     The shift flips the sign of theta_r by (-1)^n for r in {1, 2} and by
-    (-1)^m for r in {1, 4}; theta_3 never, so r = 3 gives the bare
-    multiplier, to which _reduced_thetas adds each index's sign.
+    (-1)^m for r in {1, 4}; theta_3 never.  reduce_u and full_reduction
+    centre here; the evaluators copy this arithmetic inline and call it
+    only to raise its ValueError, so that its messages are written once.
 
     ValueError where u is not finite, where the shift m*tv or m^2*tv
     overflows doubles, and where rounding leaves u0 outside the cell by
@@ -415,13 +416,13 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     The word is walked once: u/tau and an S token's common part
     const - i*pi*u^2/tau of mu do not depend on the index.  Each index
     adds to mu as _walk does, in the same order: that part, plus i*pi/2
-    at index 1, or the T constant at 1 and 2, else 0j.  _cell runs once
-    and its sign goes on per index.  The fixed window test is
-    _reduced_theta's; only off it is a ModularParameter built for
-    _window.  Each half-integer class, a0 = 0 for {3, 4} and 1/2 for
-    {1, 2}, takes one window and one paired _series call: both members
-    in the cell's one written-out walk, or off the cell the two single
-    sums.  ValueError as _reduced_theta.
+    at index 1, or the T constant at 1 and 2, else 0j.  u is centred
+    once, inline as in _reduced_theta; the index after the word takes
+    mu_cell + i*pi where n + m is odd at 1, n at 2, m at 4, else mu_cell.
+    Each wanted half-integer class ({1, 2} at a0 = 1/2, {3, 4} at 0) takes
+    _reduced_theta's window and one _series call, paired when both members
+    are wanted.  No other call but _window off the fixed window, and _cell
+    only to raise its ValueError.
     """
     tokens, tv, q2 = path
     u = complex(u)
@@ -433,35 +434,43 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
             u = u / t
         else:
             steps.append(((const, const, 0j, 0j), perm))
-    u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
-    odd_n, odd_m = n % 2 == 1, m % 2 == 1
-    flipped = mu_cell + _IPI
-    ends = []  # per index: the index after the word, and its multiplier
+    try:  # _cell, inline
+        m = round(u.imag / tv.imag)
+        u1 = u - m * tv
+        n = round(u1.real)
+        u0 = u1 - n
+        mu_cell = -1j * PI * (2 * m * u0 + m * m * tv)
+    except (OverflowError, ValueError):
+        _cell(3, u, tv)  # raises its ValueError
+        raise
+    if abs(u0.imag) > tv.imag:
+        _cell(3, u, tv)  # raises: outside the cell
+    cell, flips = (mu_cell, mu_cell + _IPI), (0, (n ^ m) & 1, n & 1, 0, m & 1)
+    ends, wanted = [], 0  # per index: (index after the word, multiplier); those indices as bits
     for r in indices:
         mu = 0j
         for gains, perm in steps:
             mu += gains[r - 1]
             r = perm[r - 1]
-        ends.append((r, mu + (flipped if (odd_n and r < 3) ^ (odd_m and r in (1, 4)) else mu_cell)))
-    wanted = {r for r, _ in ends}
+        ends.append((r, mu + cell[flips[r]]))
+        wanted |= 1 << r
     fixed = tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag
     tau = None if fixed else ModularParameter(tv)  # for _window only
-    sums = [None, None, None, None]
-    for r, _ in ends:
-        if sums[r - 1] is not None:
-            continue
-        a0 = 0.5 if r < 3 else 0.0
-        window = N if fixed else _window(tau, u0, a0)
-        if (r + 1 if r % 2 else r - 1) in wanted:  # the other member of r's class
-            plain, s = _series(window, a0, u0, tv, None, q2)
-            if r < 3:
-                sums[1], sums[0] = plain, complex(s.imag, -s.real)  # -i*s, as for r = 1 alone
+    sums = [None, None, None, None, None]  # by index
+    for a0, alt, plain in ((0.5, 1, 2), (0.0, 4, 3)):  # alt: the alternating sum's index
+        want_alt, want_plain = wanted >> alt & 1, wanted >> plain & 1
+        if want_alt or want_plain:
+            window = N if fixed else _window(tau, u0, a0)
+            if want_alt and want_plain:
+                sums[plain], sums[alt] = _series(window, a0, u0, tv, None, q2)
             else:
-                sums[2], sums[3] = plain, s
-        else:
-            s = _series(window, a0, u0, tv, r in (1, 4), q2)
-            sums[r - 1] = complex(s.imag, -s.real) if r == 1 else s
-    return [(sums[r - 1], mu) for r, mu in ends]
+                sums[alt if want_alt else plain] = _series(window, a0, u0, tv, want_alt == 1, q2)
+    s = sums[1]
+    if s is not None:
+        sums[1] = complex(s.imag, -s.real)  # -i*s, as in _reduced_theta
+    for i, (r, mu) in enumerate(ends):
+        ends[i] = sums[r], mu
+    return ends
 
 
 def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
