@@ -264,8 +264,11 @@ def _cmd_verify(args) -> int:
             "all_pass": all_pass,
             "reports": rows,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:  # one write, not json.dump's chunks
-            fh.write(_report_json(payload) + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:  # one write, not json.dump's chunks
+                fh.write(_report_json(payload) + "\n")
+        except OSError as exc:  # exit 2, not 1: 1 means an identity failed
+            return _usage_error(f"cannot write {args.json}: {exc.strerror or exc}")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
@@ -282,8 +285,11 @@ def _report_json(payload: dict) -> str:
 def _cmd_catalog(args) -> int:
     text = catalog_tsv() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -268,6 +268,18 @@ class TestVerify:
             capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("argv", [["--id", "B.I.2"], ["--id", "G.g1", "--stress", "--tol", "2e-15"]])
+    def test_unwritable_report_path_is_a_usage_error(self, argv, tmp_path, capsys):
+        # exit 2 and one line, not a traceback and exit 1, which means an
+        # identity failed; the second run fails G.g1
+        path = tmp_path / "missing" / "report.json"
+        code = main(["verify", *argv, "--trials", "2", "--seed", "9", "--json", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"thetakit: error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert not path.parent.exists()
+
     def test_stress_flag(self, capsys):
         code = main(
             ["verify", "--id", "B.I.4", "--trials", "3", "--seed", "2",
@@ -289,6 +301,14 @@ class TestCatalogCommand:
         assert main(["catalog", "--out", str(path)]) == EXIT_OK
         capsys.readouterr()
         assert len(path.read_text().strip().splitlines()) == len(builtin_catalog())
+
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, capsys):
+        for path in (tmp_path / "missing" / "catalog.tsv", tmp_path):  # no folder; a folder
+            assert main(["catalog", "--out", str(path)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"thetakit: error: cannot write {path}: ")
+            assert captured.err.count("\n") == 1
 
 
 class TestZerosCommand:
