@@ -140,9 +140,12 @@ def identity_record(u: complex, tau: ModularParameter) -> ThetaTransformRecord:
 
 
 def apply_step_to_tau(step: ModularStep | int, tau: complex) -> complex:
-    """One word token on tau (shared by apply_word_to_tau and the records)."""
+    """One word token on tau (shared by apply_word_to_tau and the records);
+    ValueError for a token that is neither ModularStep.S nor an int."""
     if step is _S:
         return -1.0 / tau
+    if not isinstance(step, int):
+        raise ValueError(f"word token {step!r} is neither ModularStep.S nor an int k (T^k)")
     return tau + step
 
 
@@ -206,10 +209,10 @@ def apply_modular_step(
     costs exp(-log(-i*tau)/2 - pi*i*u^2/tau), times i for r = 1.
     """
     _check_index(r)
+    new_tv = apply_step_to_tau(step, tau.tau)  # first: ValueError for a bad token
     token = _token(step, tau.tau)
     mu, _, new_u = _walk((token,), r, complex(u))
-    new_tau = ModularParameter(apply_step_to_tau(step, tau.tau))
-    return ThetaTransformRecord(token[3], mu, new_u, new_tau)
+    return ThetaTransformRecord(token[3], mu, new_u, ModularParameter(new_tv))
 
 
 def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -30,6 +31,7 @@ from thetakit import (
     theta_char,
     zeros_of,
 )
+from thetakit import reduction
 from thetakit.reduction import (
     apply_word_to_tau,
     eval_reduced_product,
@@ -128,6 +130,25 @@ class TestModularStep:
             lhs = theta(r, u, tau)
             rhs = record.multiplier() * theta(record.map_index(r), record.new_u, record.new_tau)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+    @pytest.mark.parametrize("token", [1.5, 0.25, "S", None, 1j])
+    def test_a_token_neither_s_nor_an_int_is_refused(self, token):
+        # 1.5 and 0.25 were added to tau as if they were T^k; "S" is not ModularStep.S
+        tau = ModularParameter(0.5j)
+        calls = [
+            lambda: reduction.apply_step_to_tau(token, 0.5j),
+            lambda: apply_word_to_tau((token, ModularStep.S), 0.5j),
+            lambda: apply_word_to_tau((ModularStep.S, token), 0.5j),
+            lambda: apply_modular_step(token, 1, 0.3, tau),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"word token {re.escape(repr(token))} "):
+                call()
+
+    def test_s_and_int_tokens_are_accepted(self):
+        assert reduction.apply_step_to_tau(ModularStep("S"), 0.5j) == 2j
+        assert apply_word_to_tau((-2, ModularStep.S, 3), 2 + 1j) == 3 + 1j
+        assert apply_modular_step(True, 3, 0.3, ModularParameter(0.5j)).map_index(3) == 4
 
     def test_mod2_relations_explicitly(self, rng):
         # forward form: theta_r(u/tau | -1/tau) = c_r * sqrt(-i*tau) * exp(pi*i*u^2/tau) * theta_{s}(u|tau)
