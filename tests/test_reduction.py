@@ -145,11 +145,6 @@ class TestModularStep:
             with pytest.raises(ValueError, match=f"word token {re.escape(repr(token))} "):
                 call()
 
-    def test_s_and_int_tokens_are_accepted(self):
-        assert reduction.apply_step_to_tau(ModularStep("S"), 0.5j) == 2j
-        assert apply_word_to_tau((-2, ModularStep.S, 3), 2 + 1j) == 3 + 1j
-        assert apply_modular_step(True, 3, 0.3, ModularParameter(0.5j)).map_index(3) == 4
-
     def test_mod2_relations_explicitly(self, rng):
         # forward form: theta_r(u/tau | -1/tau) = c_r * sqrt(-i*tau) * exp(pi*i*u^2/tau) * theta_{s}(u|tau)
         swaps = {1: (1, -1j), 2: (4, 1.0), 3: (3, 1.0), 4: (2, 1.0)}
