@@ -141,10 +141,11 @@ def identity_record(u: complex, tau: ModularParameter) -> ThetaTransformRecord:
 
 def apply_step_to_tau(step: ModularStep | int, tau: complex) -> complex:
     """One word token on tau (shared by apply_word_to_tau and the records);
-    ValueError for a token that is neither ModularStep.S nor an int."""
+    ValueError for a token that is neither ModularStep.S nor an int (a
+    bool is not a count)."""
     if step is _S:
         return -1.0 / tau
-    if not isinstance(step, int):
+    if not isinstance(step, int) or isinstance(step, bool):
         raise ValueError(f"word token {step!r} is neither ModularStep.S nor an int k (T^k)")
     return tau + step
 
@@ -219,9 +220,10 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
     """(u0, n, m, mu): u = u0 + n + m*tv in the centred cell, exact multiplier.
 
     The shift flips the sign of theta_r by (-1)^n for r in {1, 2} and by
-    (-1)^m for r in {1, 4}; theta_3 never.  reduce_u and full_reduction
-    centre here; the evaluators copy this arithmetic inline and call it
-    only to raise its ValueError, so that its messages are written once.
+    (-1)^m for r in {1, 4}; theta_3 never, so r = 3 gives the bare
+    multiplier, to which _reduced_thetas adds each index's sign.
+    _reduced_theta copies this arithmetic inline and calls it only to
+    raise its ValueError, so that its messages are written once.
 
     ValueError where u is not finite, where the shift m*tv or m^2*tv
     overflows doubles, and where rounding leaves u0 outside the cell by
@@ -419,13 +421,13 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     The word is walked once: u/tau and an S token's common part
     const - i*pi*u^2/tau of mu do not depend on the index.  Each index
     adds to mu as _walk does, in the same order: that part, plus i*pi/2
-    at index 1, or the T constant at 1 and 2, else 0j.  u is centred
-    once, inline as in _reduced_theta; the index after the word takes
-    mu_cell + i*pi where n + m is odd at 1, n at 2, m at 4, else mu_cell.
-    Each wanted half-integer class ({1, 2} at a0 = 1/2, {3, 4} at 0) takes
-    _reduced_theta's window and one _series call, paired when both members
-    are wanted.  No other call but _window off the fixed window, and _cell
-    only to raise its ValueError.
+    at index 1, or the T constant at 1 and 2, else 0j.  _cell runs once;
+    the index after the word takes mu_cell + i*pi where n + m is odd at
+    1, n at 2, m at 4, else mu_cell.  Each wanted half-integer class
+    ({1, 2} at a0 = 1/2, {3, 4} at 0) takes _reduced_theta's window and
+    one _series call, paired when both members are wanted.  It calls only
+    _cell, _series and, off the fixed window, _window.  ValueError as
+    _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)
@@ -437,17 +439,7 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
             u = u / t
         else:
             steps.append(((const, const, 0j, 0j), perm))
-    try:  # _cell, inline
-        m = round(u.imag / tv.imag)
-        u1 = u - m * tv
-        n = round(u1.real)
-        u0 = u1 - n
-        mu_cell = -1j * PI * (2 * m * u0 + m * m * tv)
-    except (OverflowError, ValueError):
-        _cell(3, u, tv)  # raises its ValueError
-        raise
-    if abs(u0.imag) > tv.imag:
-        _cell(3, u, tv)  # raises: outside the cell
+    u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
     cell, flips = (mu_cell, mu_cell + _IPI), (0, (n ^ m) & 1, n & 1, 0, m & 1)
     ends, wanted = [], 0  # per index: (index after the word, multiplier); those indices as bits
     for r in indices:

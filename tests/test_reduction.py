@@ -131,9 +131,10 @@ class TestModularStep:
             rhs = record.multiplier() * theta(record.map_index(r), record.new_u, record.new_tau)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
-    @pytest.mark.parametrize("token", [1.5, 0.25, "S", None, 1j])
+    @pytest.mark.parametrize("token", [1.5, 0.25, "S", None, 1j, True, False])
     def test_a_token_neither_s_nor_an_int_is_refused(self, token):
-        # 1.5 and 0.25 were added to tau as if they were T^k; "S" is not ModularStep.S
+        # 1.5 and 0.25 were added to tau as if they were T^k, and True and False as
+        # T^1 and T^0; "S" is not ModularStep.S
         tau = ModularParameter(0.5j)
         calls = [
             lambda: reduction.apply_step_to_tau(token, 0.5j),
