@@ -21,7 +21,6 @@ from .core import Characteristics, ModularParameter, theta_char
 from .identities import (
     DEFAULT_BOX,
     STRESS_BOX,
-    UnknownIdentityError,
     builtin_catalog,
     catalog_tsv,
     verify,
@@ -224,14 +223,20 @@ def _cmd_verify(args) -> int:
         return _usage_error("--trials must be >= 1")
     if not 0.0 < args.tol < math.inf:
         return _usage_error("--tol must be finite and positive")
-    ids = [ident.id for ident in builtin_catalog()] if args.all else args.ids
+    by_id = {ident.id: ident for ident in builtin_catalog()}
+    ids = list(by_id) if args.all else args.ids
+    unknown = next((ident for ident in ids if ident not in by_id), None)
+    if unknown is not None:
+        print(f"thetakit: error: unknown identity id {unknown!r}", file=sys.stderr)
+        return EXIT_UNKNOWN_ID
+    if args.json:
+        try:  # before the run, so a bad PATH fails at once; "a" truncates nothing yet
+            report_file = open(args.json, "a", encoding="utf-8")
+        except OSError as exc:  # exit 2, not 1: 1 means an identity failed
+            return _usage_error(f"cannot write {args.json}: {exc.strerror or exc}")
     box = STRESS_BOX if args.stress else DEFAULT_BOX
     started = time.perf_counter()
-    try:
-        reports = verify(ids, trials=args.trials, seed=args.seed, box=box, rel_tol=args.tol)
-    except UnknownIdentityError as exc:
-        print(f"thetakit: error: unknown identity id {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_UNKNOWN_ID
+    reports = verify(ids, trials=args.trials, seed=args.seed, box=box, rel_tol=args.tol, catalog=by_id)
     wall_time = time.perf_counter() - started
 
     # the JSON report leaves out the wall time, so identical runs are byte-identical
@@ -265,9 +270,10 @@ def _cmd_verify(args) -> int:
             "reports": rows,
         }
         try:
-            with open(args.json, "w", encoding="utf-8") as fh:  # one write, not json.dump's chunks
-                fh.write(_report_json(payload) + "\n")
-        except OSError as exc:  # exit 2, not 1: 1 means an identity failed
+            with report_file:
+                report_file.truncate(0)
+                report_file.write(_report_json(payload) + "\n")  # one write, not json.dump's chunks
+        except OSError as exc:
             return _usage_error(f"cannot write {args.json}: {exc.strerror or exc}")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 

@@ -55,7 +55,7 @@ _TOL = 1e-15
 _MAX_TERMS = 1000
 
 # Fixed window radius inside the reduced cell Im tau >= sqrt(3)/2,
-# |Im u| <= Im tau/2, proven for every tol >= 1e-18 (see _window).
+# |Im u| <= Im tau/2, and N + 1 on its rim |Im u| <= Im tau (see _window).
 N = 5
 _CELL_IM_TAU = math.sqrt(3.0) / 2.0
 
@@ -153,8 +153,9 @@ INDEX_CHARACTERISTICS = {
 
 
 def _check_index(r: int) -> None:
-    if r not in (1, 2, 3, 4):
-        raise ValueError(f"theta index must be 1..4, got {r!r}")
+    """ValueError unless r is an int in 1..4; a bool or a float is no index."""
+    if r not in (1, 2, 3, 4) or type(r) is not int:
+        raise ValueError(f"theta index must be an int in 1..4, got {r!r}")
 
 
 def _finite_u(u: complex) -> complex:
@@ -213,17 +214,18 @@ def _peak_log(t: float, y_signed: float, a0: float) -> float:
 def _window(tau: ModularParameter, u: complex, a: float) -> int:
     """Window radius for absolute error < _TOL * max(1, peak term).
 
-    In the reduced cell (Im tau >= sqrt(3)/2, 2*|Im u| <= Im tau) the
-    radius is the constant N, with no search.  Proof: truncation_index's
-    majorant at the cell's worst corner, Im tau = sqrt(3)/2, |Im u| =
-    Im tau/2 and a0 = 1/2 (for any a0, f(n + a0) + f(n - a0) <=
-    f(n - 1/2) + f(n + 1/2) since the one-sided tail f is convex there),
-    is below 1e-18, far under _TOL, at N = 5.  With
-    |Im u| <= Im tau/2 every exponent of the majorant is at most
-    -pi*Im tau*x*(x - 1) and -2*pi*Im tau*x at x >= 9/2, so it only
-    shrinks as Im tau grows; the peak scaling only loosens the target.
-    Every other call searches.  The peak is capped at _EXP_MAX, where the
-    target _TOL * e^709 ~ 8e292 is still a finite double.
+    The constant N in the reduced cell (Im tau >= sqrt(3)/2, 2*|Im u| <=
+    Im tau), else a search.  The reduced kernels never search: N there and
+    N + 1 on the rim |Im u| <= Im tau, at every end of reduction._walk_tau,
+    Im tau >= sqrt(3)/2 - 2^-50.  Proof: truncation_index's majorant is
+    largest at Im tau = sqrt(3)/2, a0 = 1/2 (for any a0, f(n + a0) +
+    f(n - a0) <= f(n - 1/2) + f(n + 1/2), the one-sided tail f convex)
+    and the largest |Im u|: 2.5e-19 at N and 1.8e-23 at N + 1, 1.2e-4 and
+    2.3e-9 of the peak-scaled target; the 2^-50 moves it in the 15th digit.
+    Its exponents are at most -pi*Im tau*x*(x - 1) and -2*pi*Im tau*x at
+    x >= 9/2 for N, -pi*Im tau*x*(x - 2) and -pi*Im tau*(2x - 1) at
+    x >= 11/2 for N + 1, so both only shrink as Im tau grows.  The peak is
+    capped at _EXP_MAX, where the target _TOL * e^709 ~ 8e292 is finite.
     """
     t = tau.tau.imag
     if t >= _CELL_IM_TAU and 2.0 * abs(u.imag) <= t:
@@ -410,14 +412,6 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     return value * (cmath.exp(z) if z.real <= _EXP_MAX else _exp_multiplier(z, u))
 
 
-def _theta_sum(r: int, u: complex, tau: ModularParameter, q2: complex) -> complex:
-    """theta(r, u, tau) for a finite complex u, q2 = _nome_sq(tau.tau)."""
-    shift = 0.5 if r in (1, 2) else 0.0
-    n = _window(tau, u, shift)
-    s = _series(n, shift, u, tau.tau, r in (1, 4), q2)
-    return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
-
-
 def theta(r: int, u: complex, tau: ModularParameter) -> complex:
     """theta_r(u|tau), r in {1,2,3,4}: theta_{a,b} at half-integer a, b.
 
@@ -430,7 +424,10 @@ def theta(r: int, u: complex, tau: ModularParameter) -> complex:
     where u is not finite.
     """
     _check_index(r)
-    return _theta_sum(r, _finite_u(u), tau, _nome_sq(tau.tau))
+    u = _finite_u(u)
+    a0 = 0.5 if r < 3 else 0.0
+    s = _series(_window(tau, u, a0), a0, u, tau.tau, r in (1, 4), _nome_sq(tau.tau))
+    return complex(s.imag, -s.real) if r == 1 else s  # -i*s with no inf*0 = nan
 
 
 def theta_product(r: int, u: complex, tau: ModularParameter) -> complex:
@@ -512,17 +509,9 @@ def theta1_prime0(tau: ModularParameter) -> complex:
 
 
 def theta_constants(tau: ModularParameter) -> tuple[complex, complex, complex, complex]:
-    """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau.
-
-    theta_3(0) and theta_4(0) share a0 = 0 and so one window: one paired
-    _series call sums both, bit-equal to theta(3, 0, tau) and theta(4, 0, tau)
-    (one walk in the reduced cell, the two single sums off it).
-    """
-    prime = theta1_prime0(tau)
-    q2 = _nome_sq(tau.tau)
-    t2 = _theta_sum(2, 0j, tau, q2)
-    t3, t4 = _series(_window(tau, 0j, 0.0), 0.0, 0j, tau.tau, None, q2)
-    return prime, t2, t3, t4
+    """(theta_1'(0), theta_2(0), theta_3(0), theta_4(0)) at the given tau,
+    by direct summation: theta1_prime0 and theta(r, 0j, tau)."""
+    return theta1_prime0(tau), theta(2, 0j, tau), theta(3, 0j, tau), theta(4, 0j, tau)
 
 
 def gauss_product_theta4(tau: ModularParameter) -> complex:

@@ -35,7 +35,6 @@ from .core import (
     ModularParameter,
     cexp,
     theta_product,
-    _CELL_IM_TAU,
     _EXP_MAX,
     _IPI,
     _TWO_IPI,
@@ -43,7 +42,6 @@ from .core import (
     _exp_multiplier,
     _multiplier_overflow,
     _series,
-    _window,
 )
 from .core import theta  # noqa: F401  unused; perfbench's layer tracer wraps it here
 
@@ -317,8 +315,10 @@ def _walk_tau(tv: complex, re_sign: float | None = None) -> tuple:
     Each translation run is one token T^-shift and one subtraction
     t - shift, which is exact: both operands are multiples of ulp(Re t)
     and the result is at most 1/2.  Each S step is one token and
-    t = -1/t.  The walk ends once |t| >= 1 and terminates because every
-    S step strictly increases Im(t) while |t| < 1.  Each token is built
+    t = -1/t.  The walk ends once |t| >= 1 or an S step would not raise
+    Im(t), as where |t| and |-1/t| both round to just below 1 next to
+    +-1/2 + i*sqrt(3)/2, so it terminates, with Im(end) >= sqrt(3)/2 - 2^-50.
+    Each token is built
     in this loop, bit-equal to _token's (the T phase from _T_PHASE), and
     q2 = exp(2*pi*i*end), bit-equal to core._nome_sq(end).
     """
@@ -329,10 +329,10 @@ def _walk_tau(tv: complex, re_sign: float | None = None) -> tuple:
         if shift:
             tokens.append((-shift, t, _T_PHASE[shift % 8], _T_PERM if shift % 2 else _IDENT_PERM))
             t -= shift
-        if abs(t) >= 1.0:
+        if abs(t) >= 1.0 or (s := -1.0 / t).imag <= t.imag:
             return tuple(tokens), t, cmath.exp(_TWO_IPI * t)
         tokens.append((_S, t, -0.5 * cmath.log(-1j * t), _S_PERM))
-        t = -1.0 / t
+        t = s
         if not cmath.isfinite(t):
             raise ValueError(
                 f"Im(tau)={tv.imag!r} is too small to reduce: -1/tau overflows"
@@ -373,16 +373,15 @@ def full_reduction(r: int, u: complex, tau: ModularParameter) -> ThetaTransformR
 def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     """(value at the reduced point, log multiplier) of theta_r(u|tau), path = _path(tau).
 
-    The value is bit-equal to theta(record.map_index(r), record.new_u,
-    record.new_tau) and the multiplier to record.log_multiplier,
-    record = full_reduction(r, u, tau); only the record and the cache
-    key are skipped, and q^2 comes from the path.  Every reduced route
-    sums here.  One call does the walk, _cell's arithmetic and the fixed
-    window test inline, then one _series call: in the cell that is the
-    proven window N (tail below 1e-18 of the peak term, core._window),
-    and _window searches, at a ModularParameter built for it, only where
-    rounding leaves the point just outside.  _cell runs only to raise
-    its ValueError for a u that cannot be reduced.
+    The multiplier is bit-equal to record.log_multiplier, record =
+    full_reduction(r, u, tau), and in the cell the value to
+    theta(record.map_index(r), record.new_u, record.new_tau); only the
+    record and the cache key are skipped, and q^2 comes from the path.
+    Every reduced route sums here: the walk and _cell's arithmetic
+    inline, then one _series call over a constant window proven in
+    core._window, N in the cell and N + 1 on its rim Im tau'/2 < |Im u0|
+    <= Im tau', where rounding can leave the point.  _cell runs only to
+    raise its ValueError for a u that cannot be reduced.
 
     It does not call _reduced_thetas with one index: the group kernel's
     per-index lists would slow every eval_reduced, big_theta and
@@ -407,11 +406,7 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     if ((n % 2 == 1) and r in (1, 2)) ^ ((m % 2 == 1) and r in (1, 4)):
         mu_cell += _IPI
     a0 = 0.5 if r < 3 else 0.0
-    if tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag:
-        window = N
-    else:
-        window = _window(ModularParameter(tv), u0, a0)
-    s = _series(window, a0, u0, tv, r in (1, 4), q2)
+    s = _series(N if 2.0 * abs(u0.imag) <= tv.imag else N + 1, a0, u0, tv, r in (1, 4), q2)
     return (complex(s.imag, -s.real) if r == 1 else s), mu + mu_cell  # -i*s for r = 1
 
 
@@ -426,8 +421,7 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
     1, n at 2, m at 4, else mu_cell.  Each wanted half-integer class
     ({1, 2} at a0 = 1/2, {3, 4} at 0) takes _reduced_theta's window and
     one _series call, paired when both members are wanted.  It calls only
-    _cell, _series and, off the fixed window, _window.  ValueError as
-    _reduced_theta.
+    _cell and _series.  ValueError as _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)
@@ -449,13 +443,11 @@ def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, com
             r = perm[r - 1]
         ends.append((r, mu + cell[flips[r]]))
         wanted |= 1 << r
-    fixed = tv.imag >= _CELL_IM_TAU and 2.0 * abs(u0.imag) <= tv.imag
-    tau = None if fixed else ModularParameter(tv)  # for _window only
+    window = N if 2.0 * abs(u0.imag) <= tv.imag else N + 1
     sums = [None, None, None, None, None]  # by index
     for a0, alt, plain in ((0.5, 1, 2), (0.0, 4, 3)):  # alt: the alternating sum's index
         want_alt, want_plain = wanted >> alt & 1, wanted >> plain & 1
         if want_alt or want_plain:
-            window = N if fixed else _window(tau, u0, a0)
             if want_alt and want_plain:
                 sums[plain], sums[alt] = _series(window, a0, u0, tv, None, q2)
             else:

@@ -280,6 +280,30 @@ class TestVerify:
         assert err.count("\n") == 1
         assert not path.parent.exists()
 
+    def test_unwritable_report_path_fails_before_the_run(self, tmp_path, capsys):
+        # no per-id line and no summary: the path is opened before the first trial
+        for path in (tmp_path / "missing" / "report.json", tmp_path):  # no folder; a folder
+            code = main(["verify", "--all", "--trials", "1", "--json", str(path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert captured.out == ""
+            assert captured.err.startswith(f"thetakit: error: cannot write {path}: ")
+            assert captured.err.count("\n") == 1
+
+    def test_unknown_id_keeps_an_existing_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("an older report, longer than the next one\n" * 2000)
+        code = main(["verify", "--id", "R.I.1", "--id", "NO.SUCH", "--trials", "1", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNKNOWN_ID
+        assert captured.out == ""
+        assert captured.err == "thetakit: error: unknown identity id 'NO.SUCH'\n"
+        assert path.read_text() == "an older report, longer than the next one\n" * 2000
+        # a run that completes replaces the whole file
+        assert main(["verify", "--id", "R.I.1", "--trials", "1", "--json", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert [row["id"] for row in json.loads(path.read_text())["reports"]] == ["R.I.1"]
+
     def test_stress_flag(self, capsys):
         code = main(
             ["verify", "--id", "B.I.4", "--trials", "3", "--seed", "2",

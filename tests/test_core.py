@@ -134,6 +134,21 @@ class TestFixedWindowKernel:
                 deeper = ModularParameter(complex(0.0, im_tau))
                 assert truncation_index(deeper, 0.5j * im_tau, a, 1e-18) <= core.N
 
+    def test_rim_window_n_plus_one_is_the_corner_window(self):
+        # the reduced kernels sum N + 1 up to |Im u| = Im tau, and both
+        # windows hold down to 2^-50 under the corner, the lowest end of the walk
+        for t in (self.CORNER, self.CORNER - 2.0**-50):
+            tau = ModularParameter(complex(0.5, t))
+            for a in (0.0, 0.5):
+                assert truncation_index(tau, complex(0.3, t), a, 1e-18) == core.N + 1
+                assert truncation_index(tau, complex(0.3, t / 2), a, 1e-18) == core.N
+        # no other a0, and no point deeper in the rim, needs more
+        for a in [i / 20 for i in range(-10, 11)]:
+            for im_tau in (self.CORNER - 2.0**-50, 1.0, 1.5, 3.0, 10.0):
+                deeper = ModularParameter(complex(0.0, im_tau))
+                for y in (im_tau, -im_tau):
+                    assert truncation_index(deeper, y * 1j, a, 1e-18) <= core.N + 1
+
     def test_window_is_fixed_only_where_proven(self):
         t = self.CORNER
         tau = ModularParameter(complex(-0.5, t))

@@ -1,11 +1,14 @@
 """Modulus/argument reduction: records, words, shifts, zeros, round trips."""
 
 import cmath
+import contextlib
+import functools
 import hashlib
 import itertools
 import math
 import random
 import re
+import signal
 import sys
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_tau
-from oracles import slow_theta
+from oracles import slow_theta, theta_char_series
 from thetakit import (
     Characteristics,
     HalfPeriod,
@@ -882,3 +885,150 @@ def test_public_routes_still_return_a_modular_parameter(tau, end):
     for got in (reduce_tau(tau)[0], full_reduction(2, 0.7 - 0.4j, tau).new_tau):
         assert type(got) is ModularParameter
         assert repr(got) == repr(ModularParameter(end))
+
+
+# taus next to the corners +-1/2 + i*sqrt(3)/2 where |tau| and |-1/tau|
+# both round to 0.9999999999999999: the walk used to take S steps there forever
+_CORNER_TAUS = [
+    -0.4999997847861414 + 0.8660255280381821j,
+    0.4999997847861414 + 0.8660255280381821j,
+    0.499999999999984 + 0.8660254037844478j,
+]
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """TimeoutError inside the block once it has run for the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tv", _CORNER_TAUS)
+def test_walk_ends_next_to_the_corners(tv):
+    from thetakit.identities import VariableBinding, catalog_by_id, evaluate_identity
+
+    tau = ModularParameter(tv)
+    u = 0.3 + 0.2j
+    identity = catalog_by_id()["R.I.1"]
+    binding = VariableBinding({name: u for name in identity.variables}, tau)
+    with _within(1.0):
+        end, word = reduce_tau(tau)
+        values = [eval_reduced(r, u, tau) for r in (1, 2, 3, 4)]
+        record = full_reduction(2, u, tau)
+        char = theta_char(Characteristics(0.25, 0.75), u, tau)
+        big = big_theta(3, u, tau)
+        _, rel = evaluate_identity(identity, binding)
+    assert abs(tv) < 1.0 and in_fundamental_domain(tv)
+    assert word == () and end.tau == tv and record.new_tau.tau == tv
+    for r, value in zip((1, 2, 3, 4), values):  # no word: the direct sum is the same series
+        assert value == pytest.approx(theta(r, u, tau), rel=1e-14)
+    assert char == pytest.approx(theta_char_series(0.25, 0.75, u, tv), rel=1e-13)
+    assert isinstance(big, complex) and cmath.isfinite(big)
+    assert rel < 1e-12
+
+
+_FLOOR = math.sqrt(3.0) / 2.0  # core._CELL_IM_TAU
+
+
+def _rim_points(tv):
+    """u whose reduced point at tv lies on the rim Im tv/2 < |Im u0| <= Im tv.
+
+    Only rounding puts it there: a lattice shift of up to 2^52 cells
+    leaves u0 from one ulp to about a quarter of Im tv past the half-height.
+    """
+    from thetakit.reduction import _cell
+
+    points = []
+    for e in range(53):
+        m = 2**e
+        y = (m + 0.5) * tv.imag
+        for k in range(-2, 3):
+            u = complex(0.3 + m * tv.real, y + k * math.ulp(y))
+            try:
+                u0 = _cell(3, u, tv)[0]
+            except ValueError:  # rounding left it past the rim
+                continue
+            if 2.0 * abs(u0.imag) > tv.imag:
+                points.append(u)
+    return points
+
+
+def test_reduced_routes_sum_two_constant_windows_and_never_search(monkeypatch):
+    from thetakit import core, notation
+    from thetakit.reduction import _cell, _reduced_thetas
+
+    def refuse(*args):
+        raise AssertionError("a reduced route searched for its window")
+
+    monkeypatch.setattr(core, "truncation_index", refuse)
+    # ends one ulp under sqrt(3)/2: no walk reaches them, core._window's
+    # proof covers them, and a path handed to the kernels may end there
+    low = {}
+    for x in (-0.5, 0.5, 0.2):
+        end = complex(x, math.nextafter(_FLOOR, 0.0))
+        low[end] = ((), end, core._nome_sq(end))
+    walk = reduction._tau_path
+    monkeypatch.setattr(reduction, "_tau_path", lambda tv, re_sign: low.get(tv) or walk(tv, re_sign))
+    # K is cached per tau: a fresh cache, so no K from these paths outlives the test
+    monkeypatch.setattr(notation, "_elliptic_k", functools.lru_cache(maxsize=16)(notation._elliptic_k.__wrapped__))
+    on_edge = on_rim = 0
+    # no word, a T word and an S word (u/tau is exact at 0.5i)
+    for tv in [*low, 2.3 + 1.2j, 0.5j]:
+        tau = ModularParameter(tv)
+        path = reduction._tau_path(tv, math.copysign(1.0, tv.real))
+        tokens, end, _ = path
+        h = 0.5 * end.imag
+        points = [0.1 + 0.1j, 0.5 + h * 1j, -0.5 - h * 1j, 0.2 + h * 1j, 0.2 - h * 1j, *_rim_points(end)[::6]]
+        scale = tokens[0][1] if tokens and tokens[0][0] is ModularStep.S else 1.0
+        for w in points:
+            u = w * scale
+            u0 = _cell(3, reduction._walk(tokens, 3, u)[2], end)[0]
+            on_edge += 2.0 * abs(u0.imag) == end.imag
+            on_rim += 2.0 * abs(u0.imag) > end.imag
+            for r in (1, 2, 3, 4):
+                eval_reduced(r, u, tau)
+                big_theta(r, 0.01 * w, tau)
+            theta_char(Characteristics(0.0, 0.0), u, tau)
+            theta_char(Characteristics(0.25, 0.75), u, tau)
+            for subset in _SUBSETS:
+                _reduced_thetas(subset, u, path)
+    assert on_edge >= 5 * 4 and on_rim >= 5 * 4
+
+
+@pytest.mark.parametrize("tv", [0.3 + 1.2j, complex(0.5, _FLOOR), -0.2 + 3.0j])
+def test_rim_values_match_the_oracle_series(tv):
+    from thetakit.core import N, _series
+    from thetakit.reduction import _cell, _path, _reduced_thetas
+
+    path = _path(ModularParameter(tv))
+    assert path[0] == ()  # no word: the reduced point is u0 at tv itself
+    rim = _rim_points(tv)
+    depth = []
+    for u in rim:
+        u0 = _cell(3, u, tv)[0]
+        depth.append(abs(u0.imag) / tv.imag)
+        values = _reduced_thetas((1, 2, 3, 4), u, path)
+        for r, (value, _) in zip((1, 2, 3, 4), values):
+            slow = slow_theta(r, u0, tv)
+            assert abs(value - slow.value) <= slow.error_bound + 4e-15 * max(1.0, slow.abs_sum), (r, u, tv)
+        # the rim window is N + 1, summed as the loop sums it
+        assert repr(values[2][0]) == repr(_series(N + 1, 0.0, u0, tv, False, path[2]))
+    assert len(rim) >= 5 and max(depth) > 0.55
+
+
+@pytest.mark.parametrize("r", [2.0, True, False, 0, 5, "2", None])
+@pytest.mark.parametrize("route", [theta, eval_reduced, full_reduction], ids=["direct", "reduced", "record"])
+def test_an_index_that_is_not_an_int_in_1_to_4_is_refused(route, r):
+    # at 0.3 + 0.5i the word is S T^-1, at i there is none: the same error at both
+    for tv in (0.3 + 0.5j, 1j):
+        with pytest.raises(ValueError, match="theta index must be"):
+            route(r, 0.3, ModularParameter(tv))
