@@ -8,7 +8,8 @@ the plan runs per trial.  A verify trial calls it on plain numbers from
 the draw to the residual: it walks its fresh tau (and 2tau) once,
 evaluates every unique point once for all its theta indices (one walk of
 the word, one lattice cell and one series pass per half-integer class,
-bit-equal to one evaluation per index), by full reduction or, with
+bit-equal to one evaluation per index; at an empty word no kernel call,
+only the cell's and the series'), by full reduction or, with
 use_reduction=False, by direct summation per factor, and builds a
 binding only for a report's first failure.  The engine runs at core's
 _TOL and _MAX_TERMS.
@@ -32,20 +33,23 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-# theta, theta1_prime0, gauss_product_theta4, _reduced_theta(s) and _walk_tau
-# are called by the generated trial functions, through this module's globals
+# theta, theta1_prime0, gauss_product_theta4, _reduced_theta(s), _walk_tau, _cell
+# and _series are called by the generated trial functions, through this module's globals
 from ..core import (  # noqa: F401
+    N,
     PI,
     ModularParameter,
     TruncationError,
     gauss_product_theta4,
     theta,
     theta1_prime0,
+    _series,
 )
 from ..reduction import (  # noqa: F401
     _HP_PERM,
     _HP_PHASE_QUARTERS,
     HalfPeriod,
+    _cell,
     _reduced_theta,
     _reduced_thetas,
     _walk_tau,
@@ -212,12 +216,14 @@ def _generate(plan: _Plan, use_reduction: bool):
     Reduced, tau and 2tau are each walked fresh, past the cache, when a
     theta point first needs them, and each point is evaluated once: one
     index is one _reduced_theta call and several are one _reduced_thetas
-    call (one walk of the word, bit-equal to _reduced_theta per index);
-    mu's phase joins the mantissa, and half_period_shift's multiplier is
-    written out.  Only pi, dt1, gauss4 and direct sums (use_reduction=False:
-    no walk) build a ModularParameter, one per slot.  A phase's exponent has
-    real part +-0 (nan at an infinite angle), where cexp is cmath.exp: no
-    saturation.
+    call (one walk of the word, bit-equal to _reduced_theta per index).
+    Where the slot's word is empty (most default-box draws), the point
+    makes those kernels' _cell and _series calls and their sign and -i
+    steps itself, in their order.  mu's phase joins the mantissa, and
+    half_period_shift's multiplier is written out.  Only pi, dt1, gauss4
+    and direct sums (use_reduction=False: no walk) build a
+    ModularParameter, one per slot.  A phase's exponent has
+    real part +-0 (nan at an infinite angle), where cexp is cmath.exp: no saturation.
 
     The source holds names and integers only.  Every float, complex and
     theta index is a parameter default, so plans that differ only in those
@@ -241,7 +247,8 @@ def _generate(plan: _Plan, use_reduction: bool):
         tau = f"{'mp' if direct else 'p'}{slot}"
         if tau not in ready:
             ready.add(tau)
-            lines.append(f"{tau} = {'ModularParameter' if direct else '_walk_tau'}({t})")
+            walk = f"{tau} = ModularParameter({t})" if direct else f"word{slot}, end{slot}, nome{slot} = {tau} = _walk_tau({t})"
+            lines.append(walk)
         if special is not None:
             value = k(complex(PI)) if special == PI_CONST else f"{_SPECIAL[special]}({tau})"
             lines.append(f"m{positions[0]}, s{positions[0]} = {value}, {zero}")
@@ -257,9 +264,32 @@ def _generate(plan: _Plan, use_reduction: bool):
             lines.append(f"q = {w} + {k(offset - 0.5 if half else offset, True)} * {t}")
             got = ", ".join(f"(x{p}, u{p})" for p in positions)
             if half or len(inner) > 1:
-                lines.append(f"{got}, = _reduced_thetas({k(inner, True)}, q, {tau})")
+                lines.append(f"if word{slot}: {got}, = _reduced_thetas({k(inner, True)}, q, {tau})")
             else:
-                lines.append(f"{got} = _reduced_theta({k(inner[0], True)}, q, {tau})")
+                lines.append(f"if word{slot}: {got} = _reduced_theta({k(inner[0], True)}, q, {tau})")
+            # an empty word: the kernels' _cell, window, _series and signs, written
+            # out.  y lists the sums, each paired class's (plain, alternating) first;
+            # two indices pair or not by a parameter: the text depends on their count
+            def sums(r, paired=False):  # one _series call: r's class, or r alone
+                alt = "None" if paired else k(r in (1, 4), True)
+                return f"_series(z, {k(0.5 if r < 3 else 0.0, True)}, v, end{slot}, {alt}, nome{slot})"
+
+            pairs = [c for c in ((2, 1), (3, 4)) if {*c} <= {*inner}]
+            lone = [r for r in inner if not any(r in c for c in pairs)]
+            at = {r: i for i, r in enumerate([r for c in pairs for r in c] + lone)}  # index -> place in y
+            if len(inner) == 2:
+                y = f"[*{sums(inner[0], True)}] if {k(bool(pairs), True)} else [{sums(inner[0])}, {sums(inner[1])}]"
+            else:
+                y = ", ".join([*(f"*{sums(c[0], True)}" for c in pairs), *map(sums, lone)])
+                y = y if len(inner) == 1 else f"[{y}]"
+            one, zero_j, ipi = f"y[{k(at.get(1, 0), True)}]" if len(inner) > 1 else "y", k(0j), k(1j * PI)
+            lines += ["else:", f" v, n, m, c = _cell(3, q, end{slot})"]
+            lines += [f" z = {N} if {k(2.0)} * abs(v.imag) <= end{slot}.imag else {N + 1}", f" y = {y}"]
+            lines.append(f" if {k(1 in inner, True)}: {one} = complex({one}.imag, -{one}.real)")  # -i*s at index 1
+            for r, p in zip(inner, positions):
+                flip = f"n & {k(int(r < 3), True)} ^ m & {k(int(r in (1, 4)), True)}"
+                s = f"y[{k(at[r], True)}]" if len(inner) > 1 else "y"
+                lines.append(f" x{p}, u{p} = {s}, {zero_j} + (c + {ipi} if {flip} else c)")
             if half:  # rare: half_period_shift's multiplier, written out
                 lines.append(f"h = {k(-1j * PI)} * (q + {t} / {k(4.0)})")
             for r, p in zip(kinds, positions):
@@ -351,19 +381,24 @@ def verify(
     resampled, at most _RESAMPLE_LIMIT times per trial; an exhausted
     truncation, or a draw that cannot be reduced (ValueError), counts as
     a failed trial.  Raises UnknownIdentityError for ids not in the
-    catalog (the built-in one unless another mapping is supplied);
-    ValueError unless trials >= 1 and 0 < rel_tol < inf.
+    catalog (the built-in one unless another mapping is supplied), before
+    the first trial; ValueError for a bare str of ids, and unless trials
+    is an int >= 1 (not a bool) and 0 < rel_tol < inf.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(identity_ids, str):
+        raise ValueError(f"identity_ids must be a collection of ids, not the str {identity_ids!r}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     by_id = catalog_by_id() if catalog is None else catalog
-    reports = []
-    for identity_id in identity_ids:
-        identity = by_id.get(identity_id)
-        if identity is None:
+    identities = []
+    for identity_id in identity_ids:  # every id is looked up before the first trial
+        if by_id.get(identity_id) is None:
             raise UnknownIdentityError(identity_id)
+        identities.append((identity_id, by_id[identity_id]))
+    reports = []
+    for identity_id, identity in identities:
         trial = _compile(identity).trial
         variables = identity.variables
         rng = random.Random(f"{seed}:{identity_id}")
@@ -385,9 +420,7 @@ def verify(
                 max_rel = rel
             if failing is None and rel > rel_tol:
                 failing = VariableBinding(dict(zip(variables, values)), ModularParameter(tau))
-        reports.append(
-            ResidualReport(identity_id, trials, max_abs, max_rel, failing)
-        )
+        reports.append(ResidualReport(identity_id, trials, max_abs, max_rel, failing))
     return reports
 
 

@@ -1,6 +1,7 @@
 """Identity evaluation, randomized verification, and the equivalence check."""
 
 import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
@@ -135,6 +136,27 @@ class TestVerify:
     def test_requires_positive_trials(self):
         with pytest.raises(ValueError):
             verify(["B.I.1"], trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, False, "3", -1])
+    def test_trials_must_be_an_int_of_at_least_one(self, trials):
+        # 2.5 raised a bare TypeError from range, and True ran one trial
+        with pytest.raises(ValueError, match="trials must be an int >= 1"):
+            verify(["B.I.1"], trials=trials)
+
+    def test_a_bare_string_of_ids_is_refused(self):
+        # it was iterated by character: UnknownIdentityError('B')
+        with pytest.raises(ValueError, match="identity_ids"):
+            verify("B.I.1", trials=1)
+
+    def test_every_id_is_looked_up_before_the_first_trial(self, monkeypatch):
+        import thetakit.identities.engine as engine
+
+        def refuse(*args):
+            raise AssertionError("a trial ran before every id was looked up")
+
+        monkeypatch.setattr(engine, "_sample_binding", refuse)
+        with pytest.raises(UnknownIdentityError, match="NO.SUCH"):
+            verify(["B.I.1", "W.I.r1", "NO.SUCH"], trials=20)
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_rejects_a_rel_tol_that_cannot_fail(self, rel_tol):
@@ -669,3 +691,84 @@ def test_each_generated_code_object_has_its_own_profiling_label():
     assert len(codes) > 1
     assert len(labels) == len(codes)
     assert all(label.startswith("<identity trial ") for label in labels)
+
+
+# taus whose word is empty in both slots: |Re tau| <= 1/4 and Im tau >= 1 keep
+# tau and 2tau in the fundamental domain, so every theta point of a trial
+# takes the written-out branch, which calls _cell and _series itself
+EMPTY_WORD_TAUS = [complex(-0.0, 1.3), -0.25 + 1.7j, 0.1 + 2.3j]
+
+
+def _empty_word_values(tv):
+    """Values at signed zeros, on the cell's edges, near its rim, at every
+    parity of the lattice shift (n, m), and one whose shift overflows."""
+    h = 0.5 * tv.imag
+    values = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.25), complex(0.25, -0.0), 1e300j]
+    values += [0.5 + 0.1j, -0.5 - h * 1j, 0.2 + h * 1j, 0.5 + h * 1j, math.nextafter(h, math.inf) * 1j]
+    values += [0.1 - 0.2j + n + m * tv for n in (-2, -1, 0, 1) for m in (-2, -1, 0, 1)]
+    for e in (0, 12, 25, 38, 51):  # rounding leaves u0 on the rim (or past it) only after a shift
+        y = (2**e + 0.5) * tv.imag
+        values += [complex(0.3 + 2**e * tv.real, y + d * math.ulp(y)) for d in (-1, 1, 2)]
+    return values
+
+
+@pytest.mark.parametrize("tv", EMPTY_WORD_TAUS)
+def test_empty_word_trials_equal_the_kernels_per_factor(tv, monkeypatch):
+    import thetakit.identities.engine as engine
+    from thetakit.reduction import _walk_tau
+
+    assert _walk_tau(tv)[0] == () and _walk_tau(2 * tv)[0] == ()
+    cell, seen = engine._cell, set()
+
+    def spy(r, u, end):
+        u0, n, m, mu = cell(r, u, end)
+        seen.add((n % 2, m % 2))
+        seen.add("rim" if 2.0 * abs(u0.imag) > end.imag else "edge" if 2.0 * abs(u0.imag) == end.imag else "inner")
+        return u0, n, m, mu
+
+    monkeypatch.setattr(engine, "_cell", spy)
+    tau, outcomes = ModularParameter(tv), set()
+    for ident in [*catalog_by_id().values(), HALF_OFFSETS]:
+        trial, n = engine._compile(ident).trial, len(ident.variables)
+        for j, p in enumerate(_empty_word_values(tv)):
+            # every variable at p, or the first at p and the rest at 0
+            values = ((p,) * n if j % 2 else (p,) + (0j,) * (n - 1))[:n]
+            binding = VariableBinding(dict(zip(ident.variables, values)), tau)
+            got = _outcome(lambda: trial(values, tv, True))
+            assert got == _outcome(lambda: per_factor_values(ident, binding)), (ident.id, p)
+            outcomes.add(got.split(":")[0] if got.startswith("ValueError") else "value")
+    assert seen >= {(0, 0), (0, 1), (1, 0), (1, 1), "inner", "edge", "rim"}
+    assert outcomes == {"value", "ValueError"}
+
+
+def test_an_empty_word_trial_calls_no_reduction_kernel(monkeypatch):
+    import thetakit.identities.engine as engine
+
+    calls = {"_reduced_theta": 0, "_reduced_thetas": 0, "_series": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(engine, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    identities = [*catalog_by_id().values(), HALF_OFFSETS]
+    for tv in EMPTY_WORD_TAUS:
+        for ident in identities:
+            engine._compile(ident).trial((0.1 + 0.2j,) * len(ident.variables), tv)
+    assert calls == {"_reduced_theta": 0, "_reduced_thetas": 0, "_series": calls["_series"]} and calls["_series"] > 0
+    for ident in identities:  # a word of one S: both kernels again
+        engine._compile(ident).trial((0.1 + 0.2j,) * len(ident.variables), 0.1 + 0.5j)
+    assert calls["_reduced_theta"] > 0 and calls["_reduced_thetas"] > 0
+
+
+def test_generation_stays_within_forty_code_objects_per_route():
+    # the written-out branch is keyed by a point's index count, not by its
+    # indices: per route the catalog and HALF_OFFSETS need 25 shapes
+    import thetakit.identities.engine as engine
+
+    for use_reduction in (True, False):
+        codes = {
+            engine._generate(engine._compile(ident), use_reduction).__code__
+            for ident in [*catalog_by_id().values(), HALF_OFFSETS]
+        }
+        assert len(codes) <= 40, (use_reduction, len(codes))
