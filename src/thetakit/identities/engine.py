@@ -8,11 +8,12 @@ the plan runs per trial.  A verify trial calls it on plain numbers from
 the draw to the residual: it walks its fresh tau (and 2tau) once,
 evaluates every unique point once for all its theta indices (one walk of
 the word, one lattice cell and one series pass per half-integer class,
-bit-equal to one evaluation per index; at an empty word no kernel call,
-only the cell's and the series'), by full reduction or, with
-use_reduction=False, by direct summation per factor, and builds a
-binding only for a report's first failure.  The engine runs at core's
-_TOL and _MAX_TERMS.
+bit-equal to one evaluation per index; a point of one index is one
+_reduced_theta call at any word, and a point of several makes, at an
+empty word, no kernel call, only the cell's and the series'), by full
+reduction or, with use_reduction=False, by direct summation per factor,
+and builds a binding only for a report's first failure.  The engine runs
+at core's _TOL and _MAX_TERMS.
 
 Terms are evaluated in split form mantissa * exp(log_scale): the
 reduction records supply log-form multipliers, so identities remain
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import random
 import types
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -215,11 +218,12 @@ def _generate(plan: _Plan, use_reduction: bool):
 
     Reduced, tau and 2tau are each walked fresh, past the cache, when a
     theta point first needs them, and each point is evaluated once: one
-    index is one _reduced_theta call and several are one _reduced_thetas
-    call (one walk of the word, bit-equal to _reduced_theta per index).
-    Where the slot's word is empty (most default-box draws), the point
-    makes those kernels' _cell and _series calls and their sign and -i
-    steps itself, in their order.  mu's phase joins the mantissa, and
+    index is one _reduced_theta call at any word (it has _cell's
+    arithmetic inline), and several are one _reduced_thetas call (one walk
+    of the word, bit-equal to _reduced_theta per index).  Where the slot's
+    word is empty (most default-box draws), a point of several indices
+    makes the group kernel's _cell and _series calls and its sign and -i
+    steps itself, in its order.  mu's phase joins the mantissa, and
     half_period_shift's multiplier is written out.  Only pi, dt1, gauss4
     and direct sums (use_reduction=False: no walk) build a
     ModularParameter, one per slot.  A phase's exponent has
@@ -259,37 +263,36 @@ def _generate(plan: _Plan, use_reduction: bool):
             for r, p in zip(kinds, positions):
                 lines.append(f"m{p}, s{p} = theta({k(r, True)}, w + {k(offset, True)} * {t}, {tau}), {zero}")
         else:
-            # a half-integer offset goes through the shift table: better
-            # accuracy than summing on the Im cell boundary
+            # a half-integer offset goes through the shift table: more accurate
+            # than summing at the shifted point (tests/test_accuracy.py)
             lines.append(f"q = {w} + {k(offset - 0.5 if half else offset, True)} * {t}")
-            got = ", ".join(f"(x{p}, u{p})" for p in positions)
-            if half or len(inner) > 1:
+            if len(inner) == 1:
+                lines.append(f"x{positions[0]}, u{positions[0]} = _reduced_theta({k(inner[0], True)}, q, {tau})")
+            else:
+                got = ", ".join(f"(x{p}, u{p})" for p in positions)
                 lines.append(f"if word{slot}: {got}, = _reduced_thetas({k(inner, True)}, q, {tau})")
-            else:
-                lines.append(f"if word{slot}: {got} = _reduced_theta({k(inner[0], True)}, q, {tau})")
-            # an empty word: the kernels' _cell, window, _series and signs, written
-            # out.  y lists the sums, each paired class's (plain, alternating) first;
-            # two indices pair or not by a parameter: the text depends on their count
-            def sums(r, paired=False):  # one _series call: r's class, or r alone
-                alt = "None" if paired else k(r in (1, 4), True)
-                return f"_series(z, {k(0.5 if r < 3 else 0.0, True)}, v, end{slot}, {alt}, nome{slot})"
+                # an empty word: the group kernel's _cell, window, _series and signs,
+                # written out.  y lists the sums, each paired class's (plain,
+                # alternating) first; two indices pair or not by a parameter: the
+                # text depends on their count
+                def sums(r, paired=False):  # one _series call: r's class, or r alone
+                    alt = "None" if paired else k(r in (1, 4), True)
+                    return f"_series(z, {k(0.5 if r < 3 else 0.0, True)}, v, end{slot}, {alt}, nome{slot})"
 
-            pairs = [c for c in ((2, 1), (3, 4)) if {*c} <= {*inner}]
-            lone = [r for r in inner if not any(r in c for c in pairs)]
-            at = {r: i for i, r in enumerate([r for c in pairs for r in c] + lone)}  # index -> place in y
-            if len(inner) == 2:
-                y = f"[*{sums(inner[0], True)}] if {k(bool(pairs), True)} else [{sums(inner[0])}, {sums(inner[1])}]"
-            else:
-                y = ", ".join([*(f"*{sums(c[0], True)}" for c in pairs), *map(sums, lone)])
-                y = y if len(inner) == 1 else f"[{y}]"
-            one, zero_j, ipi = f"y[{k(at.get(1, 0), True)}]" if len(inner) > 1 else "y", k(0j), k(1j * PI)
-            lines += ["else:", f" v, n, m, c = _cell(3, q, end{slot})"]
-            lines += [f" z = {N} if {k(2.0)} * abs(v.imag) <= end{slot}.imag else {N + 1}", f" y = {y}"]
-            lines.append(f" if {k(1 in inner, True)}: {one} = complex({one}.imag, -{one}.real)")  # -i*s at index 1
-            for r, p in zip(inner, positions):
-                flip = f"n & {k(int(r < 3), True)} ^ m & {k(int(r in (1, 4)), True)}"
-                s = f"y[{k(at[r], True)}]" if len(inner) > 1 else "y"
-                lines.append(f" x{p}, u{p} = {s}, {zero_j} + (c + {ipi} if {flip} else c)")
+                pairs = [c for c in ((2, 1), (3, 4)) if {*c} <= {*inner}]
+                lone = [r for r in inner if not any(r in c for c in pairs)]
+                at = {r: i for i, r in enumerate([r for c in pairs for r in c] + lone)}  # index -> place in y
+                if len(inner) == 2:
+                    y = f"[*{sums(inner[0], True)}] if {k(bool(pairs), True)} else [{sums(inner[0])}, {sums(inner[1])}]"
+                else:
+                    y = "[" + ", ".join([*(f"*{sums(c[0], True)}" for c in pairs), *map(sums, lone)]) + "]"
+                one, zero_j, ipi = f"y[{k(at.get(1, 0), True)}]", k(0j), k(1j * PI)
+                lines += ["else:", f" v, n, m, c = _cell(3, q, end{slot})"]
+                lines += [f" z = {N} if {k(2.0)} * abs(v.imag) <= end{slot}.imag else {N + 1}", f" y = {y}"]
+                lines.append(f" if {k(1 in inner, True)}: {one} = complex({one}.imag, -{one}.real)")  # -i*s at index 1
+                for r, p in zip(inner, positions):
+                    flip = f"n & {k(int(r < 3), True)} ^ m & {k(int(r in (1, 4)), True)}"
+                    lines.append(f" x{p}, u{p} = y[{k(at[r], True)}], {zero_j} + (c + {ipi} if {flip} else c)")
             if half:  # rare: half_period_shift's multiplier, written out
                 lines.append(f"h = {k(-1j * PI)} * (q + {t} / {k(4.0)})")
             for r, p in zip(kinds, positions):
@@ -382,15 +385,21 @@ def verify(
     truncation, or a draw that cannot be reduced (ValueError), counts as
     a failed trial.  Raises UnknownIdentityError for ids not in the
     catalog (the built-in one unless another mapping is supplied), before
-    the first trial; ValueError for a bare str of ids, and unless trials
-    is an int >= 1 (not a bool) and 0 < rel_tol < inf.
+    the first trial; ValueError for a bare str of ids, a box that is not
+    a SamplingBox or a catalog that is not a Mapping, and unless trials
+    is an int >= 1 and rel_tol a real number with 0 < rel_tol < inf
+    (neither a bool).
     """
     if isinstance(identity_ids, str):
         raise ValueError(f"identity_ids must be a collection of ids, not the str {identity_ids!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    if not isinstance(rel_tol, numbers.Real) or isinstance(rel_tol, bool) or not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be a real number, positive and finite, got {rel_tol!r}")
+    if not isinstance(box, SamplingBox):
+        raise ValueError(f"box must be a SamplingBox, got {box!r}")
+    if catalog is not None and not isinstance(catalog, Mapping):
+        raise ValueError(f"catalog must be a mapping of ids to identities, got {type(catalog).__name__}")
     by_id = catalog_by_id() if catalog is None else catalog
     identities = []
     for identity_id in identity_ids:  # every id is looked up before the first trial

@@ -219,8 +219,8 @@ def _cell(r: int, u: complex, tv: complex) -> tuple[complex, int, int, complex]:
 
     The shift flips the sign of theta_r by (-1)^n for r in {1, 2} and by
     (-1)^m for r in {1, 4}; theta_3 never, so r = 3 gives the bare
-    multiplier, to which _reduced_thetas, and the engine's trials at an
-    empty word, add each index's sign.  _reduced_theta copies this
+    multiplier, to which _reduced_thetas, and the engine's group points at
+    an empty word, add each index's sign.  _reduced_theta copies this
     arithmetic inline and calls it only to raise its ValueError, so that
     its messages are written once.
 
@@ -378,8 +378,8 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     full_reduction(r, u, tau), and in the cell the value to
     theta(record.map_index(r), record.new_u, record.new_tau); only the
     record and the cache key are skipped, and q^2 comes from the path.
-    Every reduced route sums here (the engine's trials, at an empty
-    word, make its calls themselves): the walk and _cell's arithmetic
+    Every reduced route of one index sums here, the engine's one-index
+    points at any word among them: the walk and _cell's arithmetic
     inline, then one _series call over a constant window proven in
     core._window, N in the cell and N + 1 on its rim Im tau'/2 < |Im u0|
     <= Im tau', where rounding can leave the point.  _cell runs only to

@@ -42,6 +42,17 @@ significant digit:
     large Re tau  5.89e-13   3.62e-13     2.22e-13   9.55e-16
     near cusp     5.45e+73   7.21e-13     1.44e+252  1.96e-13
     reduced cell  1.76e-15   1.42e-15     4.14e-16   4.14e-16
+
+The factors of the engine's HALF_OFFSETS identity, half-integer tau
+offsets among them, come from its generated reduced trial and are each
+checked against the oracle at their exact argument, 100 draws a box.
+The bounds are the half-period shift route's worst errors rounded up to
+one significant digit; summing at the shifted point itself instead
+(w + 5/2 tau, say) was measured too, and fails the default bound:
+
+    box       bound    shift route  summed at the shifted point
+    default   2e-14    1.76e-14     3.11e-14
+    stress    2e-11    1.39e-11     1.42e-11
 """
 
 from __future__ import annotations
@@ -238,6 +249,44 @@ def test_relative_error_within_regime_bound(regime):
 @pytest.mark.parametrize("kind", sorted(ROUTE_BOUNDS))
 def test_reduced_route_within_regime_bound(kind, regime):
     assert worst_error(regime, kind) <= ROUTE_BOUNDS[kind][regime]
+
+
+# worst relative error of the generated trial's factors at half-integer tau
+# offsets, by sampling box: draws, Im tau range, bound
+HALF_OFFSET_BOXES = {"default": (100, (0.5, 2.0), 2e-14), "stress": (100, (1e-3, 0.1), 2e-11)}
+
+
+def half_offset_worst_error(box: str) -> float:
+    """Worst relative error over the factors of the engine's HALF_OFFSETS,
+    each against the series oracle at its exact argument."""
+    from test_engine import HALF_OFFSETS
+    from thetakit.identities.engine import _compile
+
+    draws, (low, high), _ = HALF_OFFSET_BOXES[box]
+    trial = _compile(HALF_OFFSETS).trial
+    factors = dict.fromkeys(f for side in (HALF_OFFSETS.lhs, HALF_OFFSETS.rhs) for t in side for f in t.factors)
+    rng = random.Random(f"accuracy:half-offsets:{box}")
+    worst = 0.0
+    for _ in range(draws):
+        values = {n: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for n in HALF_OFFSETS.variables}
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(low, high))
+        got = trial(tuple(values.values()), tau, True)
+        for f, (mantissa, log_scale) in zip(factors, got):
+            lf = f.argument
+            with mpmath.workdps(60):
+                u = mpmath.mpf(lf.const.numerator) / lf.const.denominator
+                u += sum(c * mpmath.mpc(values[n]) for n, c in lf.var_coeffs)
+                u += mpmath.mpf(lf.tau_coeff.numerator) / lf.tau_coeff.denominator * mpmath.mpc(tau)
+            ref = reference(f.index, u, f.tau_multiplier * tau)
+            with mpmath.workdps(50):
+                error = abs(mpmath.mpc(mantissa) * mpmath.exp(log_scale) / ref - 1)
+            worst = max(worst, float(error))
+    return worst
+
+
+@pytest.mark.parametrize("box", sorted(HALF_OFFSET_BOXES))
+def test_half_offset_factors_within_box_bound(box):
+    assert half_offset_worst_error(box) <= HALF_OFFSET_BOXES[box][2]
 
 
 # tau within 0.003 of the cusp at 3, where theta_char and elliptic_k (so

@@ -165,6 +165,24 @@ class TestVerify:
         with pytest.raises(ValueError, match="rel_tol"):
             verify(["bad"], trials=3, catalog={"bad": bad}, rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [True, "1e-9", 1e-9j, None])
+    def test_rel_tol_must_be_a_real_number(self, rel_tol):
+        # True ran with a tolerance of 1.0, and "1e-9" raised a bare TypeError
+        with pytest.raises(ValueError, match="rel_tol must be a real number"):
+            verify(["B.I.1"], trials=2, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("box", [(0.5, 2.0), None, "default"])
+    def test_box_must_be_a_sampling_box(self, box):
+        # a tuple raised a bare AttributeError from the first trial's draw
+        with pytest.raises(ValueError, match="box must be a SamplingBox"):
+            verify(["B.I.1"], trials=2, box=box)
+
+    @pytest.mark.parametrize("catalog", [["B.I.1"], "B.I.1", 3])
+    def test_catalog_must_be_a_mapping(self, catalog):
+        # a list raised AttributeError: 'list' object has no attribute 'get'
+        with pytest.raises(ValueError, match="catalog must be a mapping"):
+            verify(["B.I.1"], trials=2, catalog=catalog)
+
     def test_negative_control_sign_flip(self):
         good = catalog_by_id()["B.I.1"]
         bad_rhs = (good.rhs[0], dataclasses.replace(good.rhs[1], coefficient=-good.rhs[1].coefficient))
@@ -755,7 +773,11 @@ def test_an_empty_word_trial_calls_no_reduction_kernel(monkeypatch):
     for tv in EMPTY_WORD_TAUS:
         for ident in identities:
             engine._compile(ident).trial((0.1 + 0.2j,) * len(ident.variables), tv)
-    assert calls["_reduced_theta"] == calls["_reduced_thetas"] == 0 < calls["_series"]
+    # a point of one theta index calls _reduced_theta at every word; a group writes its calls out
+    points = [point for ident in identities for point in engine._compile(ident).points]
+    singles = sum(point[0] is None and len(point[7]) == 1 for point in points)
+    assert calls["_reduced_thetas"] == 0 < calls["_series"]
+    assert calls["_reduced_theta"] == singles * len(EMPTY_WORD_TAUS) > 0
     for ident in identities:  # a word of one S: both kernels again
         engine._compile(ident).trial((0.1 + 0.2j,) * len(ident.variables), 0.1 + 0.5j)
     assert calls["_reduced_theta"] > 0 and calls["_reduced_thetas"] > 0
