@@ -406,8 +406,7 @@ def theta_char(chars: Characteristics, u: complex, tau: ModularParameter) -> com
     w = u + (chars.b - round(chars.b)) + a0 * tv
     if math.isfinite(w.real):  # else the reduction raises its ValueError
         w -= round(w.real)  # period 1 of theta_3: keeps the word's u^2/tau phases small
-    path = reduction._tau_path(tv, math.copysign(1.0, tv.real))  # reduction._path, inline
-    value, mu = reduction._reduced_theta(3, w, path)
+    value, mu = reduction._reduced_theta(3, w, reduction._path(tau))  # eval_reduced's cached walk
     z = mu + _IPI * (tv * a0 * a0 + 2.0 * a0 * (u + chars.b))
     return value * (cmath.exp(z) if z.real <= _EXP_MAX else _exp_multiplier(z, u))
 

@@ -172,6 +172,7 @@ def reduce_tau(tau: ModularParameter) -> tuple[ModularParameter, ModularWord]:
 def _token(step: ModularStep | int, tv: complex) -> tuple:
     """(step, tau before the token, tau-only constant, index map).
 
+    The one builder of a word token, for _walk_tau and apply_modular_step.
     The constant is -log(-i*tau)/2 for S (principal branch: -i*tau lies
     in the right half-plane) and the T^k phase of r in {1, 2}, k mod 8.
     """
@@ -181,7 +182,8 @@ def _token(step: ModularStep | int, tv: complex) -> tuple:
 
 
 def _walk(tokens, r: int, u: complex) -> tuple[complex, int, complex]:
-    """Log multiplier, index and argument after the tokens, from (r, u)."""
+    """Log multiplier, index and argument after the tokens, from (r, u): the one
+    u-walk, of full_reduction, apply_modular_step, _reduced_theta and _reduced_thetas."""
     mu = 0j
     for step, tv, const, perm in tokens:
         if step is _S:
@@ -319,20 +321,19 @@ def _walk_tau(tv: complex, re_sign: float | None = None) -> tuple:
     t = -1/t.  The walk ends once |t| >= 1 or an S step would not raise
     Im(t), as where |t| and |-1/t| both round to just below 1 next to
     +-1/2 + i*sqrt(3)/2, so it terminates, with Im(end) >= sqrt(3)/2 - 2^-50.
-    Each token is built
-    in this loop, bit-equal to _token's (the T phase from _T_PHASE), and
-    q2 = exp(2*pi*i*end), bit-equal to core._nome_sq(end).
+    Its tokens come from _token; q2 = exp(2*pi*i*end), bit-equal to
+    core._nome_sq(end).
     """
     t = tv
     tokens = []
     while True:
         shift = round(t.real)
         if shift:
-            tokens.append((-shift, t, _T_PHASE[shift % 8], _T_PERM if shift % 2 else _IDENT_PERM))
+            tokens.append(_token(-shift, t))
             t -= shift
         if abs(t) >= 1.0 or (s := -1.0 / t).imag <= t.imag:
             return tuple(tokens), t, cmath.exp(_TWO_IPI * t)
-        tokens.append((_S, t, -0.5 * cmath.log(-1j * t), _S_PERM))
+        tokens.append(_token(_S, t))
         t = s
         if not cmath.isfinite(t):
             raise ValueError(
@@ -379,8 +380,8 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
     theta(record.map_index(r), record.new_u, record.new_tau); only the
     record and the cache key are skipped, and q^2 comes from the path.
     Every reduced route of one index sums here, the engine's one-index
-    points at any word among them: the walk and _cell's arithmetic
-    inline, then one _series call over a constant window proven in
+    points at any word among them: _walk, _cell's arithmetic inline,
+    then one _series call over a constant window proven in
     core._window, N in the cell and N + 1 on its rim Im tau'/2 < |Im u0|
     <= Im tau', where rounding can leave the point.  _cell runs only to
     raise its ValueError for a u that cannot be reduced.
@@ -413,36 +414,23 @@ def _reduced_theta(r: int, u: complex, path: tuple) -> tuple[complex, complex]:
 
 
 def _reduced_thetas(indices, u: complex, path: tuple) -> list[tuple[complex, complex]]:
-    """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one point.
+    """[_reduced_theta(r, u, path) for r in indices], bit for bit, at one
+    point of two or more indices (the engine's group points).
 
-    The word is walked once: u/tau and an S token's common part
-    const - i*pi*u^2/tau of mu do not depend on the index.  Each index
-    adds to mu as _walk does, in the same order: that part, plus i*pi/2
-    at index 1, or the T constant at 1 and 2, else 0j.  _cell runs once;
+    One _walk per index, all ending at the same u', then one _cell there:
     the index after the word takes mu_cell + i*pi where n + m is odd at
     1, n at 2, m at 4, else mu_cell.  Each wanted half-integer class
     ({1, 2} at a0 = 1/2, {3, 4} at 0) takes _reduced_theta's window and
-    one _series call, paired when both members are wanted.  It calls only
-    _cell and _series.  ValueError as _reduced_theta.
+    one _series call, paired when both members are wanted.  ValueError
+    as _reduced_theta.
     """
     tokens, tv, q2 = path
     u = complex(u)
-    steps = []  # per token: what mu gains at index 1, 2, 3, 4, and the index map
-    for step, t, const, perm in tokens:
-        if step is _S:
-            common = const - _IPI * u * u / t
-            steps.append(((common + _HALF_IPI, common, common, common), perm))
-            u = u / t
-        else:
-            steps.append(((const, const, 0j, 0j), perm))
-    u0, n, m, mu_cell = _cell(3, u, tv)  # theta_3 never flips: the bare multiplier
+    walks = [_walk(tokens, r, u) for r in indices]  # each ends at the same u'
+    u0, n, m, mu_cell = _cell(3, walks[0][2], tv)  # theta_3 never flips: the bare multiplier
     cell, flips = (mu_cell, mu_cell + _IPI), (0, (n ^ m) & 1, n & 1, 0, m & 1)
     ends, wanted = [], 0  # per index: (index after the word, multiplier); those indices as bits
-    for r in indices:
-        mu = 0j
-        for gains, perm in steps:
-            mu += gains[r - 1]
-            r = perm[r - 1]
+    for mu, r, _ in walks:
         ends.append((r, mu + cell[flips[r]]))
         wanted |= 1 << r
     window = N if 2.0 * abs(u0.imag) <= tv.imag else N + 1
@@ -473,8 +461,7 @@ def eval_reduced(r: int, u: complex, tau: ModularParameter) -> complex:
     multiplier overflows doubles.
     """
     _check_index(r)
-    tv = tau.tau
-    value, mu = _reduced_theta(r, u, _tau_path(tv, math.copysign(1.0, tv.real)))
+    value, mu = _reduced_theta(r, u, _path(tau))
     return (cmath.exp(mu) if mu.real <= _EXP_MAX else _exp_multiplier(mu, u)) * value
 
 

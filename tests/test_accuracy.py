@@ -76,6 +76,7 @@ from thetakit import (
     theta_product,
 )
 from thetakit import core
+from thetakit.reduction import ModularStep, full_reduction, reduce_tau
 
 # theta_r = sign * theta_{a,b}
 _CHARS = {1: (0.5, 0.5, -1), 2: (0.5, 0.0, 1), 3: (0.0, 0.0, 1), 4: (0.0, 0.5, 1)}
@@ -287,6 +288,58 @@ def half_offset_worst_error(box: str) -> float:
 @pytest.mark.parametrize("box", sorted(HALF_OFFSET_BOXES))
 def test_half_offset_factors_within_box_bound(box):
     assert half_offset_worst_error(box) <= HALF_OFFSET_BOXES[box][2]
+
+
+# worst error of exp(mu), mu = full_reduction's log multiplier, by sampling
+# box: draws, Im tau range, bound (the worst over these draws, 1.66e-15 and
+# 5.79e-11, rounded up to one significant digit).  In the stress box the
+# walk's pi*u^2/tau terms reach ~1.6e3 in modulus, and mu's absolute error
+# grows with them: exact phases are to tighten the stress bound
+MULTIPLIER_BOXES = {"default": (300, (0.5, 2.0), 2e-15), "stress": (300, (1e-3, 0.1), 6e-11)}
+
+
+def multiplier_worst_error(box: str) -> float:
+    """Worst error of exp(full_reduction(r, u, tau).log_multiplier) against
+    the same modular word and the same lattice shift (n, m) replayed in
+    mpmath at 50 digits: the larger of |Re dmu|, the relative error of
+    |exp(mu)|, and |Im dmu| mod 2*pi, its phase error."""
+    draws, (low, high), _ = MULTIPLIER_BOXES[box]
+    rng = random.Random(f"accuracy:multiplier:{box}")
+    worst = 0.0
+    for i in range(draws):
+        r, u = 1 + i % 4, _box_u(rng)
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(low, high))
+        param = ModularParameter(tau)
+        record = full_reduction(r, u, param)
+        with mpmath.workdps(50):
+            ipi = 1j * mpmath.pi
+            w, t, mu = mpmath.mpc(u), mpmath.mpc(tau), mpmath.mpc(0)
+            for step in reduce_tau(param)[1]:
+                if step is ModularStep.S:  # tau -> -1/tau, u -> u/tau, 2 <-> 4
+                    mu += -mpmath.log(-1j * t) / 2 - ipi * w * w / t + (ipi / 2 if r == 1 else 0)
+                    w, t, r = w / t, -1 / t, (1, 4, 3, 2)[r - 1]
+                else:  # T^k: tau -> tau + k, phase -k*pi*i/4 at 1 and 2, 3 <-> 4 for odd k
+                    mu -= ipi * step / 4 if r in (1, 2) else 0
+                    t, r = t + step, (1, 2, 4, 3)[r - 1] if step % 2 else r
+            assert r == record.map_index(1 + i % 4)
+            # the shift the double reduction chose: u' - u0 = n + m*tau'
+            shift = w - mpmath.mpc(record.new_u)
+            m = int(mpmath.nint(shift.imag / t.imag))
+            n = int(mpmath.nint((shift - m * t).real))
+            mu += -ipi * (2 * m * (w - n - m * t) + m * m * t)
+            if (n % 2 == 1 and r in (1, 2)) != (m % 2 == 1 and r in (1, 4)):
+                mu += ipi
+            diff = mpmath.mpc(record.log_multiplier) - mu
+            phase = diff.imag - 2 * mpmath.pi * mpmath.nint(diff.imag / (2 * mpmath.pi))
+            worst = max(worst, float(abs(diff.real)), float(abs(phase)))
+    return worst
+
+
+@pytest.mark.parametrize("box", sorted(MULTIPLIER_BOXES))
+def test_reduction_multiplier_within_box_bound(box):
+    # the log multiplier alone, walked and centred in doubles, against the
+    # exact multiplier of the same word and shift
+    assert multiplier_worst_error(box) <= MULTIPLIER_BOXES[box][2]
 
 
 # tau within 0.003 of the cusp at 3, where theta_char and elliptic_k (so

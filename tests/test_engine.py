@@ -355,6 +355,28 @@ def test_sampling_box_rejects_a_range_outside_the_upper_half_plane(tau_im):
         SamplingBox(tau_im=tau_im)
 
 
+@pytest.mark.parametrize(
+    "tau_im",
+    [
+        0.5, None, "ab", {0.5, 2.0},  # not a pair
+        ("a", "b"), (0.5, "2"), (0.5, 2j),  # not real numbers
+        (True, 2.0), (0.5, True),  # a bool is not a bound
+    ],
+)
+def test_sampling_box_rejects_a_range_that_is_not_a_pair_of_real_numbers(tau_im):
+    from thetakit.identities import SamplingBox
+
+    with pytest.raises(ValueError, match="tau_im must be a pair"):
+        SamplingBox(tau_im=tau_im)
+
+
+def test_sampling_box_takes_a_pair_of_real_numbers():
+    from thetakit.identities import SamplingBox
+
+    for tau_im in ((1, 2), [0.5, 2.0], (Fraction(1, 2), 2.0), (1e-3, 1e-3)):
+        assert SamplingBox(tau_im=tau_im).tau_im == tau_im
+
+
 def test_verify_walks_each_fresh_tau_past_the_reduction_cache():
     from thetakit.reduction import _tau_path
 
