@@ -110,15 +110,15 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SamplingBox:
-    """Uniform sampling range of Im tau, a tuple or list of two real numbers (not bools)
-    0 < low <= high < inf, else ValueError.  Re tau is drawn from [-1/2, 1/2], each
-    variable's parts from [-1, 1]."""
+    """Uniform sampling range of Im tau, a tuple of two real numbers (not bools)
+    0 < low <= high < inf, else ValueError; a tuple keeps the frozen box hashable.
+    Re tau is drawn from [-1/2, 1/2], each variable's parts from [-1, 1]."""
 
     tau_im: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
         pair = self.tau_im
-        real = isinstance(pair, (tuple, list)) and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)
+        real = isinstance(pair, tuple) and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)
         if not real or len(pair) != 2 or not 0.0 < pair[0] <= pair[1] < math.inf:
             raise ValueError(f"tau_im must be a pair 0 < low <= high < inf, got {pair!r}")
 
